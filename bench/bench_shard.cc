@@ -1,32 +1,28 @@
-// Sharded-saturation benchmark + chaos harness driver. Three modes:
+// Storage-sharded saturation benchmark + chaos harness driver
+// (shard/storage_shard.h). Three modes:
 //
-// Default: a shard-scaling table (shard counts {1, 2, 4, 8} over a
-// join-heavy transitive closure and the university ontology, with a
+// Default: a storage-partitioning table (shard counts {1, 2, 4, 8} over a
+// join-heavy transitive closure, with the largest per-shard fragment and a
 // bit-identity cross-check against the in-process chase) and a
-// recovery-latency table (one injected fault of each kind — SIGKILL,
-// RLIMIT_AS OOM, SIGSTOP stall, corrupt exchange — with respawn counts
-// and recovery wall time).
+// recovery table (one injected fault of each kind — SIGKILL, RLIMIT_AS
+// OOM, SIGSTOP stall, corrupt reply — in each protocol phase, with
+// rebuild/respawn counts and recovery wall time).
 //
 // --json: the machine-readable quick tier, written as BENCH_shard.json
 // (ns/op, facts/sec per shard count, plus recovery latency per fault
 // kind). Keys are stable across PRs.
 //
-// --checkpoint-dir=PATH: durable sharded mode for the chaos smoke. The
-// workload is the exact deterministic transitive-closure chain
-// bench_chase's durable mode runs (--durable-n, default 200), so the
-// "final:" line — status/rounds/facts/CRC-32 — must be byte-identical to
-// bench_chase's for the same n, at any --shards=N, after any injected
-// fault (--chaos-kill/--chaos-oom/--chaos-stall/--chaos-corrupt=
-// ROUND:SHARD), and across a kill -9 + resume with a different shard
-// count. That invariance is what scripts/shard_chaos_smoke.sh diffs.
-//
-// --storage: all of the above over the storage-partitioned engine
-// (shard/storage_shard.h) instead of the fork-per-round one: long-lived
-// workers owning durable instance fragments (--state-dir=PATH, default
-// <checkpoint-dir>/storage in durable mode), faults optionally pinned to
-// a protocol phase with --chaos-phase=load|discover, and mid-run
-// resharding with --reshard-at=ROUND --reshard-to=N. The same "final:"
-// invariance holds; scripts/storage_shard_smoke.sh diffs it.
+// --checkpoint-dir=PATH: durable mode for the smoke script. The workload
+// is the exact deterministic transitive-closure chain bench_chase's
+// durable mode runs (--durable-n, default 200), so the "final:" line —
+// status/rounds/facts/CRC-32 — must be byte-identical to bench_chase's
+// for the same n, at any --shards=N, after any injected fault
+// (--chaos-kill/--chaos-oom/--chaos-stall/--chaos-corrupt=BOUNDARY:SHARD,
+// pinned to a protocol phase with --chaos-phase=load|discover), across
+// mid-run resharding (--reshard-at=ROUND --reshard-to=N), and across a
+// kill -9 + resume with a different shard count. Workers keep durable
+// fragments under --state-dir=PATH (default <checkpoint-dir>/storage).
+// That invariance is what scripts/storage_shard_smoke.sh diffs.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +35,6 @@
 #include "chase/chase.h"
 #include "chase/checkpoint.h"
 #include "parser/parser.h"
-#include "shard/shard_chase.h"
 #include "shard/storage_shard.h"
 #include "workload/report.h"
 
@@ -52,12 +47,10 @@ CheckpointFlags g_checkpoint;
 BenchJsonFlags g_json;
 int g_durable_n = 200;
 int g_shards = 1;
-bool g_storage = false;
 std::string g_state_dir;
 int64_t g_reshard_at = -1;
 int g_reshard_to = 0;
-StorageFault::Phase g_chaos_phase = StorageFault::Phase::kDiscover;
-std::vector<ShardFault> g_chaos;
+std::vector<StorageFault> g_chaos;
 
 TgdSet TransitiveClosure() {
   // Same rule text as bench_chase's durable workload: the final CRC of a
@@ -75,31 +68,6 @@ Instance ChainDatabase(int n) {
   return db;
 }
 
-TgdSet UniversityOntology() {
-  return ParseTgds(R"(
-    e3grad(X) -> e3stud(X).
-    e3stud(X) -> e3enr(X, U), e3uni(U).
-    e3enr(X, U) -> e3active(X).
-  )");
-}
-
-Instance UniversityDatabase(int n) {
-  Instance db;
-  for (int i = 0; i < n; ++i) {
-    db.Insert(Atom::Make("e3grad", {Term::Constant("s" + std::to_string(i))}));
-  }
-  return db;
-}
-
-ShardOptions BenchShardOptions(int shards) {
-  ShardOptions options;
-  options.shards = shards;
-  options.heartbeat_timeout_ms = 2000.0;
-  options.backoff_base_ms = 1.0;
-  options.backoff_cap_ms = 20.0;
-  return options;
-}
-
 StorageShardOptions BenchStorageOptions(int shards) {
   StorageShardOptions options;
   options.shards = shards;
@@ -107,22 +75,6 @@ StorageShardOptions BenchStorageOptions(int shards) {
   options.backoff_base_ms = 1.0;
   options.backoff_cap_ms = 20.0;
   return options;
-}
-
-/// Maps the parsed --chaos-* flags onto storage faults, pinned to the
-/// --chaos-phase protocol phase (the fault kinds share enum values).
-std::vector<StorageFault> StorageChaos() {
-  std::vector<StorageFault> faults;
-  for (const ShardFault& fault : g_chaos) {
-    StorageFault storage;
-    storage.boundary = fault.round;
-    storage.shard = fault.shard;
-    storage.attempt = fault.attempt;
-    storage.kind = static_cast<StorageFault::Kind>(fault.kind);
-    storage.phase = g_chaos_phase;
-    faults.push_back(storage);
-  }
-  return faults;
 }
 
 bool SameInstance(const ChaseResult& got, const ChaseResult& want) {
@@ -133,99 +85,8 @@ bool SameInstance(const ChaseResult& got, const ChaseResult& want) {
   return got.levels == want.levels && got.complete == want.complete;
 }
 
-void PrintShardScaling() {
-  struct Workload {
-    const char* name;
-    Instance db;
-    TgdSet sigma;
-  };
-  std::vector<Workload> workloads;
-  workloads.push_back(
-      {"transitive closure n=40", ChainDatabase(40), TransitiveClosure()});
-  workloads.push_back(
-      {"university n=512", UniversityDatabase(512), UniversityOntology()});
-
-  ReportTable table({"workload", "shards", "chase ms", "speedup", "workers",
-                     "exchanged KB", "identical"});
-  for (Workload& w : workloads) {
-    const uint32_t null_base = Term::NextNullId();
-    Term::SetNextNullId(null_base);
-    ChaseOptions chase_options;
-    chase_options.budget = g_budget;
-    ChaseResult reference = Chase(w.db, w.sigma, chase_options);
-    g_watchdog.Record(std::string(w.name) + " in-process",
-                      reference.outcome);
-    double base_ms = 0.0;
-    for (int shards : {1, 2, 4, 8}) {
-      Term::SetNextNullId(null_base);
-      ShardStats stats;
-      Stopwatch watch;
-      ChaseResult result = ShardedChase(w.db, w.sigma, chase_options,
-                                        BenchShardOptions(shards), &stats);
-      const double ms = watch.ElapsedMs();
-      g_watchdog.Record(std::string(w.name) + " shards=" +
-                            std::to_string(shards),
-                        result.outcome);
-      if (shards == 1) base_ms = ms;
-      table.AddRow({w.name, ReportTable::Cell(shards),
-                    ReportTable::Cell(ms),
-                    ReportTable::Cell(ms > 0 ? base_ms / ms : 0.0),
-                    ReportTable::Cell(stats.workers_spawned),
-                    ReportTable::Cell(
-                        static_cast<double>(stats.exchanged_bytes) / 1024.0),
-                    ReportTable::Cell(SameInstance(result, reference))});
-    }
-    Term::SetNextNullId(null_base);
-  }
-  table.Print(
-      "E7: shard scaling (hash-partitioned multi-process saturation)");
-}
-
-void PrintRecoveryLatency() {
-  Instance db = ChainDatabase(40);
-  TgdSet sigma = TransitiveClosure();
-  const uint32_t null_base = Term::NextNullId();
-  Term::SetNextNullId(null_base);
-  ChaseOptions chase_options;
-  chase_options.budget = g_budget;
-  ChaseResult reference = Chase(db, sigma, chase_options);
-
-  ReportTable table({"fault", "chase ms", "recovery ms", "backoff ms",
-                     "respawns", "events", "identical"});
-  const ShardFault::Kind kinds[] = {
-      ShardFault::Kind::kKill, ShardFault::Kind::kOom,
-      ShardFault::Kind::kStall, ShardFault::Kind::kCorrupt};
-  for (ShardFault::Kind kind : kinds) {
-    ShardOptions options = BenchShardOptions(4);
-    options.heartbeat_timeout_ms = 250.0;  // stalls resolve quickly
-    ShardFault fault;
-    fault.round = 1;
-    fault.shard = 0;
-    fault.attempt = 1;
-    fault.kind = kind;
-    options.faults.push_back(fault);
-
-    Term::SetNextNullId(null_base);
-    ShardStats stats;
-    Stopwatch watch;
-    ChaseResult result =
-        ShardedChase(db, sigma, chase_options, options, &stats);
-    const double ms = watch.ElapsedMs();
-    g_watchdog.Record(std::string("chaos ") + ShardFaultKindName(kind),
-                      result.outcome);
-    table.AddRow({ShardFaultKindName(kind), ReportTable::Cell(ms),
-                  ReportTable::Cell(stats.recovery_ms),
-                  ReportTable::Cell(stats.backoff_wait_ms),
-                  ReportTable::Cell(stats.respawns),
-                  ReportTable::Cell(stats.events.size()),
-                  ReportTable::Cell(SameInstance(result, reference))});
-  }
-  Term::SetNextNullId(null_base);
-  table.Print("E7b: recovery latency per injected fault (4 shards)");
-}
-
-/// Storage partitioning: wall time, fragment sizes and worker RSS per
-/// shard count — the max-instance-fragment-vs-shard-count story.
+/// Storage partitioning: wall time and fragment sizes per shard count —
+/// the max-instance-fragment-vs-shard-count story.
 void PrintStorageScaling() {
   Instance db = ChainDatabase(40);
   TgdSet sigma = TransitiveClosure();
@@ -237,7 +98,7 @@ void PrintStorageScaling() {
   const size_t total_facts = reference.instance.size();
 
   ReportTable table({"shards", "chase ms", "max fragment", "of total %",
-                     "worker RSS MB", "exchanged KB", "identical"});
+                     "exchanged KB", "identical"});
   for (int shards : {1, 2, 4, 8}) {
     Term::SetNextNullId(null_base);
     StorageShardStats stats;
@@ -254,8 +115,6 @@ void PrintStorageScaling() {
                                ? 100.0 * stats.max_fragment_facts /
                                      static_cast<double>(total_facts)
                                : 0.0),
-         ReportTable::Cell(static_cast<double>(stats.max_worker_rss_kb) /
-                           1024.0),
          ReportTable::Cell(static_cast<double>(stats.exchanged_bytes) /
                            1024.0),
          ReportTable::Cell(SameInstance(result, reference))});
@@ -318,53 +177,9 @@ int RunJsonBench() {
   chase_options.budget = g_budget;
   const uint32_t null_base = Term::NextNullId();
 
-  for (int shards : {1, 2, 4, 8}) {
-    const std::string key = "shard_tc/40/s" + std::to_string(shards);
-    Term::SetNextNullId(null_base);
-    ChaseResult warm =
-        ShardedChase(db, sigma, chase_options, BenchShardOptions(shards));
-    g_watchdog.Record(key, warm.outcome);
-    const double facts = static_cast<double>(warm.instance.size());
-    int iters = 0;
-    Stopwatch watch;
-    do {
-      Term::SetNextNullId(null_base);
-      ChaseResult result =
-          ShardedChase(db, sigma, chase_options, BenchShardOptions(shards));
-      benchmark::DoNotOptimize(result.instance.size());
-      ++iters;
-    } while (iters < 3 || watch.ElapsedMs() < 200.0);
-    const double ns_per_op = watch.ElapsedMs() * 1e6 / iters;
-    json.Add(key, ns_per_op, facts * 1e9 / ns_per_op);
-    std::printf("%-20s %12.0f ns/op  %10.0f facts/s  (%d iters)\n",
-                key.c_str(), ns_per_op, facts * 1e9 / ns_per_op, iters);
-  }
-
-  // Recovery latency: one run per fault kind, ns/op is the whole chase
-  // wall time with the fault injected at round 1.
-  const ShardFault::Kind kinds[] = {
-      ShardFault::Kind::kKill, ShardFault::Kind::kOom,
-      ShardFault::Kind::kStall, ShardFault::Kind::kCorrupt};
-  for (ShardFault::Kind kind : kinds) {
-    const std::string key =
-        std::string("shard_recovery/") + ShardFaultKindName(kind);
-    ShardOptions options = BenchShardOptions(4);
-    options.heartbeat_timeout_ms = 250.0;
-    options.faults.push_back({1, 0, 1, kind});
-    Term::SetNextNullId(null_base);
-    ShardStats stats;
-    Stopwatch watch;
-    ChaseResult result = ShardedChase(db, sigma, chase_options, options,
-                                      &stats);
-    const double ms = watch.ElapsedMs();
-    g_watchdog.Record(key, result.outcome);
-    json.Add(key, ms * 1e6, stats.recovery_ms);
-    std::printf("%-24s %10.1f ms chase  %8.1f ms recovery  %zu respawns\n",
-                key.c_str(), ms, stats.recovery_ms, stats.respawns);
-  }
   // Storage partitioning: wall time per shard count, plus the memory
-  // story — the largest per-shard fragment and worker RSS at 8 shards
-  // against the whole instance in one process.
+  // story — the largest per-shard fragment at 8 shards against the whole
+  // instance in one process.
   size_t total_facts = 0;
   for (int shards : {1, 2, 4, 8}) {
     const std::string key = "storage_tc/40/s" + std::to_string(shards);
@@ -379,15 +194,12 @@ int RunJsonBench() {
     total_facts = result.instance.size();
     const double facts = static_cast<double>(result.instance.size());
     json.Add(key, ms * 1e6, facts * 1e3 / ms);
-    std::printf("%-20s %12.0f ns/op  %10.0f facts/s  fragment=%zu  "
-                "rss=%ldKB\n",
+    std::printf("%-20s %12.0f ns/op  %10.0f facts/s  fragment=%zu\n",
                 key.c_str(), ms * 1e6, facts * 1e3 / ms,
-                stats.max_fragment_facts, stats.max_worker_rss_kb);
+                stats.max_fragment_facts);
     if (shards == 8) {
       json.Meta("storage_s8_max_fragment_facts",
                 static_cast<double>(stats.max_fragment_facts));
-      json.Meta("storage_s8_max_worker_rss_kb",
-                static_cast<double>(stats.max_worker_rss_kb));
     }
   }
   json.Meta("storage_total_facts", static_cast<double>(total_facts));
@@ -395,14 +207,15 @@ int RunJsonBench() {
 
   // Storage-shard loss recovery per fault kind (discover phase — the
   // fragile window between a shard's ack and the round commit).
-  for (ShardFault::Kind kind : kinds) {
+  for (StorageFault::Kind kind :
+       {StorageFault::Kind::kKill, StorageFault::Kind::kOom,
+        StorageFault::Kind::kStall, StorageFault::Kind::kCorrupt}) {
     const std::string key =
-        std::string("storage_recovery/") + ShardFaultKindName(kind);
+        std::string("storage_recovery/") + StorageFaultKindName(kind);
     StorageShardOptions options = BenchStorageOptions(4);
     options.heartbeat_timeout_ms = 250.0;
-    options.faults.push_back({1, 0, 1,
-                              static_cast<StorageFault::Kind>(kind),
-                              StorageFault::Phase::kDiscover});
+    options.faults.push_back(
+        {1, 0, 1, kind, StorageFault::Phase::kDiscover});
     Term::SetNextNullId(null_base);
     StorageShardStats stats;
     Stopwatch watch;
@@ -417,65 +230,6 @@ int RunJsonBench() {
 
   Term::SetNextNullId(null_base);
   json.Write();
-  g_watchdog.Print("E7 watchdog: timeout vs complete");
-  return 0;
-}
-
-/// Durable sharded mode for scripts/shard_chaos_smoke.sh: the same
-/// deterministic chain chase as bench_chase's durable mode, partitioned
-/// across --shards workers, resumable from --checkpoint-dir, with
-/// optional injected faults. The "final:" line format is bench_chase's.
-int RunDurableShardedChase() {
-  Instance db = ChainDatabase(g_durable_n);
-  TgdSet sigma = TransitiveClosure();
-  ChaseOptions options;
-  options.budget = g_budget;
-  options.checkpoint_every = g_checkpoint.every;
-
-  ShardOptions shard_options = BenchShardOptions(g_shards);
-  shard_options.faults = g_chaos;
-
-  ResumeInfo info;
-  ShardStats stats;
-  Stopwatch watch;
-  ChaseResult result = ResumeShardedChase(g_checkpoint.dir, db, sigma,
-                                          options, shard_options, &info,
-                                          &stats);
-  const double ms = watch.ElapsedMs();
-  g_watchdog.Record("durable sharded chase n=" + std::to_string(g_durable_n),
-                    result.outcome);
-
-  std::printf("durable sharded chase: dir=%s every=%d n=%d shards=%d\n",
-              g_checkpoint.dir.c_str(), g_checkpoint.every, g_durable_n,
-              g_shards);
-  std::printf("resume: resumed=%s generation=%llu skipped=%d (%s)\n",
-              info.resumed ? "yes" : "no",
-              static_cast<unsigned long long>(info.generation),
-              info.skipped_generations,
-              info.load_status.ok()
-                  ? "ok"
-                  : SnapshotErrorName(info.load_status.error));
-  std::printf("shards: spawned=%zu respawns=%zu deaths=%zu timeouts=%zu "
-              "corrupt=%zu fallbacks=%zu exchanged=%zuB\n",
-              stats.workers_spawned, stats.respawns, stats.worker_deaths,
-              stats.heartbeat_timeouts, stats.corrupt_exchanges,
-              stats.inline_fallbacks, stats.exchanged_bytes);
-  for (const ShardEvent& event : stats.events) {
-    std::printf("shard event: round=%llu shard=%u attempt=%d cause=%s\n",
-                static_cast<unsigned long long>(event.round), event.shard,
-                event.attempt, event.cause.c_str());
-  }
-  std::printf("elapsed: %.1f ms\n", ms);
-
-  BinaryWriter writer;
-  EncodeInstance(result.instance, &writer);
-  std::printf("final: status=%s complete=%s rounds=%llu facts=%zu "
-              "levels=%d crc32=%08x\n",
-              StatusName(result.outcome.status),
-              result.complete ? "yes" : "no",
-              static_cast<unsigned long long>(result.rounds_completed),
-              result.instance.size(), result.max_level_built,
-              Crc32(writer.buffer()));
   g_watchdog.Print("E7 watchdog: timeout vs complete");
   return 0;
 }
@@ -497,7 +251,7 @@ int RunDurableStorageChase() {
       g_state_dir.empty() ? g_checkpoint.dir + "/storage" : g_state_dir;
   storage_options.reshard_at_round = g_reshard_at;
   storage_options.reshard_to = g_reshard_to;
-  storage_options.faults = StorageChaos();
+  storage_options.faults = g_chaos;
 
   ResumeInfo info;
   StorageShardStats stats;
@@ -567,20 +321,6 @@ int ParseIntFlag(int* argc, char** argv, const char* name, int default_value) {
   return value;
 }
 
-bool ParseBoolFlag(int* argc, char** argv, const char* name) {
-  bool value = false;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::string(argv[i]) == name) {
-      value = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return value;
-}
-
 std::string ParseStringFlag(int* argc, char** argv, const char* name) {
   const std::string prefix = std::string(name) + "=";
   std::string value;
@@ -597,20 +337,21 @@ std::string ParseStringFlag(int* argc, char** argv, const char* name) {
   return value;
 }
 
-/// --chaos-kill=ROUND:SHARD (and -oom/-stall/-corrupt), repeatable; each
-/// injects one fault on attempt 1 of that (round, shard).
-std::vector<ShardFault> ParseChaosFlags(int* argc, char** argv) {
+/// --chaos-kill=BOUNDARY:SHARD (and -oom/-stall/-corrupt), repeatable; each
+/// injects one fault on attempt 1 of that (boundary, shard), in `phase`.
+std::vector<StorageFault> ParseChaosFlags(int* argc, char** argv,
+                                          StorageFault::Phase phase) {
   struct KindFlag {
     const char* prefix;
-    ShardFault::Kind kind;
+    StorageFault::Kind kind;
   };
   const KindFlag kind_flags[] = {
-      {"--chaos-kill=", ShardFault::Kind::kKill},
-      {"--chaos-oom=", ShardFault::Kind::kOom},
-      {"--chaos-stall=", ShardFault::Kind::kStall},
-      {"--chaos-corrupt=", ShardFault::Kind::kCorrupt},
+      {"--chaos-kill=", StorageFault::Kind::kKill},
+      {"--chaos-oom=", StorageFault::Kind::kOom},
+      {"--chaos-stall=", StorageFault::Kind::kStall},
+      {"--chaos-corrupt=", StorageFault::Kind::kCorrupt},
   };
-  std::vector<ShardFault> faults;
+  std::vector<StorageFault> faults;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];
@@ -619,9 +360,10 @@ std::vector<ShardFault> ParseChaosFlags(int* argc, char** argv) {
       if (arg.rfind(flag.prefix, 0) != 0) continue;
       const std::string spec = arg.substr(std::strlen(flag.prefix));
       const size_t colon = spec.find(':');
-      ShardFault fault;
+      StorageFault fault;
       fault.kind = flag.kind;
-      fault.round = std::strtoull(spec.c_str(), nullptr, 10);
+      fault.phase = phase;
+      fault.boundary = std::strtoull(spec.c_str(), nullptr, 10);
       fault.shard = colon == std::string::npos
                         ? 0
                         : static_cast<uint32_t>(
@@ -646,14 +388,14 @@ int main(int argc, char** argv) {
   gqe::g_json = gqe::ParseBenchJsonFlags(&argc, argv);
   gqe::g_durable_n = gqe::ParseIntFlag(&argc, argv, "--durable-n", 200);
   gqe::g_shards = gqe::ParseIntFlag(&argc, argv, "--shards", 1);
-  gqe::g_storage = gqe::ParseBoolFlag(&argc, argv, "--storage");
   gqe::g_state_dir = gqe::ParseStringFlag(&argc, argv, "--state-dir");
   gqe::g_reshard_at = gqe::ParseIntFlag(&argc, argv, "--reshard-at", -1);
   gqe::g_reshard_to = gqe::ParseIntFlag(&argc, argv, "--reshard-to", 0);
-  if (gqe::ParseStringFlag(&argc, argv, "--chaos-phase") == "load") {
-    gqe::g_chaos_phase = gqe::StorageFault::Phase::kLoad;
-  }
-  gqe::g_chaos = gqe::ParseChaosFlags(&argc, argv);
+  const gqe::StorageFault::Phase chaos_phase =
+      gqe::ParseStringFlag(&argc, argv, "--chaos-phase") == "load"
+          ? gqe::StorageFault::Phase::kLoad
+          : gqe::StorageFault::Phase::kDiscover;
+  gqe::g_chaos = gqe::ParseChaosFlags(&argc, argv, chaos_phase);
   // SIGINT/SIGTERM cancel cooperatively: the coordinator notices at the
   // round barrier, puts every worker down, writes a final checkpoint in
   // durable mode and still reports. (No watchdog threads here: the
@@ -661,13 +403,8 @@ int main(int argc, char** argv) {
   gqe::CancelToken cancel = gqe::CancelToken::Create();
   gqe::g_budget.cancel = cancel;
   gqe::InstallBenchSignalHandlers(cancel);
-  if (gqe::g_checkpoint.enabled()) {
-    return gqe::g_storage ? gqe::RunDurableStorageChase()
-                          : gqe::RunDurableShardedChase();
-  }
+  if (gqe::g_checkpoint.enabled()) return gqe::RunDurableStorageChase();
   if (gqe::g_json.enabled) return gqe::RunJsonBench();
-  gqe::PrintShardScaling();
-  gqe::PrintRecoveryLatency();
   gqe::PrintStorageScaling();
   gqe::PrintStorageRecovery();
   gqe::g_watchdog.Print("E7 watchdog: timeout vs complete");

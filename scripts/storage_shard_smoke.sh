@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Storage-shard smoke test for the partitioned, self-healing fact store.
-# Every durable storage-partitioned run (bench_shard --storage
-# --checkpoint-dir) must print a `final:` line — status, rounds, fact
+# Every durable storage-partitioned run (bench_shard --checkpoint-dir)
+# must print a `final:` line — status, rounds, fact
 # count, CRC-32 of the serialized instance — bit-identical to the
 # fault-free single-process reference:
 #
@@ -11,8 +11,10 @@
 #      4-shard run, one fault per run;
 #   3. across a mid-run reshard (2 -> 8 storage shards while the chase
 #      is running);
-#   4. after kill -9 of the whole coordinator mid-chase, resumed from
-#      the on-disk engine checkpoints and per-shard fragments;
+#   4. after kill -9 of the whole 4-shard coordinator mid-chase, resumed
+#      from the on-disk engine checkpoints under 8 shards (the 4-shard
+#      fragments are unusable under the new layout, so the fleet
+#      reseeds);
 #
 # and the newest durable engine snapshot bytes must be identical across
 # all of the above (cmp, not just CRC).
@@ -38,7 +40,7 @@ run_storage() {
   local dir="$1" shards="$2"
   shift 2
   "$BENCH" --checkpoint-dir "$dir" --checkpoint-every 1 --durable-n "$N" \
-    --storage --shards "$shards" "$@"
+    --shards "$shards" "$@"
 }
 
 newest_snap() {
@@ -107,7 +109,7 @@ fi
 check_final "reshard 2->8" "$(echo "$OUT" | grep '^final:')"
 check_snap "reshard 2->8" "$DIR"
 
-echo "== coordinator kill -9 mid-chase, resume from fragments =="
+echo "== coordinator kill -9 mid-chase at 4 shards, resume under 8 =="
 KILL_DIR="$WORK/killed"
 run_storage "$KILL_DIR" 4 >"$WORK/killed.log" 2>&1 &
 BENCH_PID=$!
@@ -124,16 +126,16 @@ if ! ls "$KILL_DIR"/chase-*.snap >/dev/null 2>&1; then
 fi
 # The SIGKILL may have stranded storage workers mid-round; they exit on
 # their own once their command pipe breaks, and the resumed coordinator
-# below rebuilds every fragment from disk (or reseeds) regardless.
+# below reseeds its 8-shard fleet from the resumed instance regardless.
 echo "killed coordinator pid $KILLED_PID; state on disk:"
 ls "$KILL_DIR" "$KILL_DIR/storage" 2>/dev/null
 
-RESUME_OUT="$(run_storage "$KILL_DIR" 4)"
+RESUME_OUT="$(run_storage "$KILL_DIR" 8)"
 echo "$RESUME_OUT" | grep '^resume:'
 if ! echo "$RESUME_OUT" | grep -q 'resumed=yes'; then
   echo "FAIL: resume did not pick up the on-disk checkpoint"; exit 1
 fi
-check_final "coordinator kill9" "$(echo "$RESUME_OUT" | grep '^final:')"
-check_snap "coordinator kill9" "$KILL_DIR"
+check_final "kill9+reshard 4->8" "$(echo "$RESUME_OUT" | grep '^final:')"
+check_snap "kill9+reshard 4->8" "$KILL_DIR"
 
 echo "PASS: all storage-partitioned/chaotic/resharded runs match: $REF_LINE"

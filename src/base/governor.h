@@ -27,7 +27,7 @@ enum class Status : int {
   /// A sharded run lost a shard irrecoverably (retries exhausted, no
   /// fallback): the round was discarded and the committed prefix is the
   /// last consistent boundary — the structured degradation terminal of
-  /// shard/shard_chase.h.
+  /// shard/storage_shard.h.
   kShardLost = 4,
 };
 

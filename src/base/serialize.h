@@ -115,11 +115,9 @@ constexpr uint16_t kSnapshotKindChaseTree = 2;
 constexpr uint16_t kSnapshotKindInstance = 3;
 /// Result blob a serve worker writes to its result pipe (serve/worker.h).
 constexpr uint16_t kSnapshotKindWorkerResult = 4;
-/// Per-round candidate exchange a shard worker ships to the coordinator
-/// (shard/exchange.h). The envelope CRC is the corruption detector the
-/// shard fault protocol relies on: a bit-flipped exchange is a
-/// recoverable shard fault, never a wrong answer.
-constexpr uint16_t kSnapshotKindShardExchange = 5;
+/// Retired: kind 5 is never reused, so bytes written under it can never
+/// decode as another kind.
+constexpr uint16_t kSnapshotKindRetiredExchange = 5;
 /// One record of the serving tier's write-ahead request journal
 /// (serve/journal.h). The CRC envelope is what makes a torn tail or a
 /// bit-flipped record a *detected* end of journal on recovery, never a

@@ -105,10 +105,10 @@ void RunChaseDiscoveryUnit(const ChaseDiscoveryUnit& unit, const TgdSet& tgds,
                            Governor* governor, std::vector<Substitution>* out);
 
 /// The single-fact slice of an anchored unit: body[anchor] of TGD
-/// `tgd_index` is bound onto fact `fact_index` only. Sharded workers use
-/// this to emit per-fact candidate groups that the coordinator can
-/// reassemble into the canonical per-unit order regardless of which shard
-/// owned which fact.
+/// `tgd_index` is bound onto fact `fact_index` only, emitting exactly the
+/// substitutions the enclosing unit emits for that fact, in the same
+/// order. The storage-shard coordinator runs this inline for a fact
+/// whose residual join spans several fragments.
 void RunChaseDiscoveryAtFact(size_t tgd_index, int anchor, size_t fact_index,
                              const TgdSet& tgds, const Instance& instance,
                              Governor* governor,
@@ -207,8 +207,8 @@ struct ChaseOptions {
 
   /// When set, the engine delegates each round's trigger discovery to
   /// this hook (see ChaseDiscoveryHook) instead of running the units on
-  /// its own pool — the seam the sharded multi-process chase
-  /// (shard/shard_chase.h) plugs into. The merge/fire machinery is
+  /// its own pool — the seam the storage-sharded multi-process chase
+  /// (shard/storage_shard.h) plugs into. The merge/fire machinery is
   /// unaffected, so results stay bit-identical as long as the hook
   /// honors the per-unit order contract.
   ChaseDiscoveryHook* discovery_hook = nullptr;

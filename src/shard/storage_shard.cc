@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <signal.h>
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -16,14 +15,13 @@
 #include <utility>
 
 #include "base/serialize.h"
-#include "shard/exchange.h"
 
 namespace gqe {
 
 namespace {
 
-/// Storage-worker exit codes, aligned with the fork-per-round shard
-/// workers and serve/worker.h so operators see one vocabulary.
+/// Storage-worker exit codes, aligned with serve/worker.h so operators
+/// see one vocabulary.
 constexpr int kStorageExitOk = 0;
 constexpr int kStorageExitWriteError = 3;
 constexpr int kStorageExitPeerGone = 4;
@@ -45,14 +43,15 @@ constexpr uint64_t kScratchGen = kNoGen - 1;
 /// instead of an allocation bomb.
 constexpr size_t kMaxFrameBytes = 1ull << 30;
 
-/// Injected-OOM geometry (the shard/serve chaos idiom): cap the address
+/// Injected-OOM geometry (the serve chaos idiom): cap the address
 /// space well below the probe so the bad_alloc is deterministic no matter
 /// how much the forked worker already mapped copy-on-write.
 constexpr size_t kOomFaultLimitBytes = 64ull << 20;
 constexpr size_t kOomFaultProbeBytes = 128ull << 20;
 
-// Minimum encoded bytes per claimed element (absurd-count guards for
-// CRC-valid but hostile payloads, the exchange.cc idiom).
+// Minimum encoded bytes per claimed element: a claimed count the remaining
+// payload cannot hold is rejected before anything is allocated (guards
+// against CRC-valid but hostile payloads).
 constexpr uint64_t kMinAtomBytes = 8;       // predicate + arity
 constexpr uint64_t kMinUnitBytes = 8 + 4 + 8 + 8;
 constexpr uint64_t kMinGroupBytes = 4 + 8 + 8 + 8;
@@ -177,7 +176,6 @@ struct StorageReply {
   /// The generation this load rebuilt from (kNoGen: not a rebuild;
   /// kScratchGen: log-only replay from round zero).
   uint64_t rebuilt_from = kNoGen;
-  uint64_t rss_kb = 0;
   /// kCandidates: groups in strictly increasing (unit, fact) order.
   std::vector<StorageReplyGroup> groups;
 };
@@ -354,7 +352,6 @@ std::string EncodeStorageReply(const StorageReply& reply) {
   writer.WriteU64(reply.checkpoint_gen);
   writer.WriteU64(reply.oldest_checkpoint_gen);
   writer.WriteU64(reply.rebuilt_from);
-  writer.WriteU64(reply.rss_kb);
   writer.WriteU64(reply.groups.size());
   for (const StorageReplyGroup& group : reply.groups) {
     writer.WriteU32(group.unit_index);
@@ -390,7 +387,6 @@ SnapshotStatus DecodeStorageReply(std::string_view bytes, StorageReply* out) {
   reader.ReadU64(&reply.oldest_checkpoint_gen);
   reader.ReadU64(&reply.rebuilt_from);
   uint64_t group_count = 0;
-  reader.ReadU64(&reply.rss_kb);
   if (!reader.ReadU64(&group_count)) {
     return SnapshotStatus::Fail(SnapshotError::kTruncated,
                                 "storage reply: truncated counters");
@@ -762,12 +758,6 @@ struct WorkerState {
   }
 };
 
-uint64_t SelfRssKb() {
-  struct rusage usage;
-  if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<uint64_t>(usage.ru_maxrss);  // kilobytes on Linux
-}
-
 /// Writes the fragment checkpoint for the state's boundary and prunes old
 /// generations down to `keep_generations`. Returns the written generation
 /// or kNoGen on failure — a failed checkpoint write degrades *future*
@@ -927,8 +917,12 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
       return kStorageExitProtocol;
     }
     // Injected faults fire on command receipt, before any work — the
-    // deterministic moment chaos tests pin (see ShardWorkerBody for why
-    // the fault is raised child-side).
+    // deterministic moment chaos tests pin. They are raised child-side: a
+    // parent-side signal would race a fast worker's reply, and the fault
+    // could dissolve into a successful command. Raising the signal here is
+    // still the real thing — the coordinator sees an ordinary SIGKILL
+    // death / heartbeat-silent stall / OOM exit, through the same
+    // classification paths an external fault would take.
     if (command.inject_fault ==
         static_cast<int32_t>(StorageFault::Kind::kKill)) {
       ::raise(SIGKILL);
@@ -1056,7 +1050,6 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
       reply.fragment_count = state.fragment.size();
       reply.fragment_hash = state.ManifestHash();
       reply.rebuilt_from = state.rebuilt_from;
-      reply.rss_kb = SelfRssKb();
     }
 
     std::string out;
@@ -1540,8 +1533,6 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         stats_->max_fragment_facts =
             std::max(stats_->max_fragment_facts,
                      static_cast<size_t>(reply.fragment_count));
-        stats_->max_worker_rss_kb = std::max(
-            stats_->max_worker_rss_kb, static_cast<long>(reply.rss_kb));
       }
       slot->phase = Phase::kNeedDiscover;
       return true;
@@ -1901,6 +1892,19 @@ bool StorageCoordinator::DiscoverRound(
 }
 
 }  // namespace
+
+uint32_t ShardOfContentHash(uint64_t content_hash, uint32_t num_shards) {
+  if (num_shards <= 1) return 0;
+  // Mixing the cached content hash once more decorrelates the shard
+  // assignment from the hash's own use in the dedup index.
+  return static_cast<uint32_t>(Mix64(content_hash) % num_shards);
+}
+
+uint32_t ShardOfFact(const Instance& instance, size_t fact_index,
+                     uint32_t num_shards) {
+  return ShardOfContentHash(
+      instance.store().hash(static_cast<uint32_t>(fact_index)), num_shards);
+}
 
 const char* StorageFaultKindName(StorageFault::Kind kind) {
   switch (kind) {

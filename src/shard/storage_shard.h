@@ -8,18 +8,17 @@
 #include "base/subprocess.h"
 #include "chase/chase.h"
 #include "chase/checkpoint.h"
-#include "shard/shard_chase.h"
 
 namespace gqe {
 
-/// Deterministic storage-shard fault injection. Unlike the fork-per-round
-/// ShardFault, a storage worker is long-lived and serves two kinds of
-/// command per round boundary — a state load (seed / delta / rebuild) and
-/// a discovery request — so a fault is additionally pinned to the phase
-/// it hits. Kill/OOM/stall ride down to the worker inside the matched
-/// command frame (child-side delivery keeps them deterministic); corrupt
-/// flips a bit in the received reply before validation, exercising the
-/// envelope CRC.
+/// Deterministic storage-shard fault injection. A storage worker is
+/// long-lived and serves two kinds of command per round boundary — a
+/// state load (seed / delta / rebuild) and a discovery request — so a
+/// fault is pinned to the phase it hits as well as to its (boundary,
+/// shard, attempt). Kill/OOM/stall ride down to the worker inside the
+/// matched command frame (child-side delivery keeps them deterministic);
+/// corrupt flips a bit in the received reply before validation,
+/// exercising the envelope CRC.
 struct StorageFault {
   enum class Kind : int {
     kKill = 0,
@@ -53,9 +52,9 @@ struct StorageShardOptions {
   int shards = 2;
 
   /// Mid-run resharding: from round `reshard_at_round` on, the instance
-  /// is repartitioned across `reshard_to` shards. Unlike the
-  /// work-sharded chase this moves data: the old workers are retired and
-  /// fresh ones are seeded with the new layout's fragments.
+  /// is repartitioned across `reshard_to` shards. This moves data: the
+  /// old workers are retired and fresh ones are seeded with the new
+  /// layout's fragments.
   int64_t reshard_at_round = -1;
   int reshard_to = 0;
 
@@ -73,8 +72,9 @@ struct StorageShardOptions {
   /// replay forward.
   int keep_generations = 2;
 
-  /// Retry budget per (boundary, shard), with BackoffDelayMs jitter
-  /// between attempts — same ladder as the work-sharded chase.
+  /// Retry budget per (boundary, shard), with exponential backoff and
+  /// deterministic jitter between attempts (base/subprocess.h
+  /// BackoffDelayMs).
   int max_attempts = 3;
   double backoff_base_ms = 2.0;
   double backoff_cap_ms = 100.0;
@@ -136,17 +136,25 @@ struct StorageShardStats {
   size_t shipped_facts = 0;
   size_t logs_written = 0;
   size_t logs_pruned = 0;
-  /// Largest fragment (owned facts) any shard reported, and the largest
-  /// worker RSS seen in an ack. The fragment count is the honest memory
-  /// story: fork inherits the parent's resident image copy-on-write, so
-  /// worker RSS floors at the coordinator's footprint.
+  /// Largest fragment (owned facts) any shard reported: the memory
+  /// figure. Worker RSS would not be one — fork inherits the parent's
+  /// resident image copy-on-write, so it floors at the coordinator's
+  /// footprint.
   size_t max_fragment_facts = 0;
-  long max_worker_rss_kb = 0;
   double backoff_wait_ms = 0.0;
   double recovery_ms = 0.0;
   int max_shards_used = 0;
   std::vector<StorageShardEvent> events;
 };
+
+/// Shard ownership by content hash alone (FactStore::HashFact), so a
+/// coordinator holding a global fact index and a worker holding a decoded
+/// atom agree on the owner without exchanging indexes. Pure functions, so
+/// every process computes the same partition.
+uint32_t ShardOfContentHash(uint64_t content_hash, uint32_t num_shards);
+/// The owner of fact `fact_index` of `instance` (its cached content hash).
+uint32_t ShardOfFact(const Instance& instance, size_t fact_index,
+                     uint32_t num_shards);
 
 /// Runs the chase with the fact store hash-partitioned across long-lived
 /// storage-shard workers. Each worker owns a fragment of the instance

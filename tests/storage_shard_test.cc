@@ -28,7 +28,6 @@
 #include "chase/chase.h"
 #include "chase/checkpoint.h"
 #include "parser/parser.h"
-#include "shard/shard_chase.h"
 #include "shard/storage_shard.h"
 #include "verify/verifier.h"
 #include "verify/witness.h"
@@ -36,10 +35,9 @@
 namespace gqe {
 namespace {
 
-/// Same workload as the fork-per-round shard tests: existential rules
-/// (labelled nulls, levels) plus transitive closure (several rounds of
-/// joins over a growing delta frontier), so any ownership, exchange or
-/// replay mistake surfaces as a different instance.
+/// Existential rules (labelled nulls, levels) plus transitive closure
+/// (several rounds of joins over a growing delta frontier), so any
+/// ownership, exchange or replay mistake surfaces as a different instance.
 TgdSet StSigma() {
   return ParseTgds(R"(
     stgrad(X) -> ststud(X).
@@ -241,7 +239,6 @@ TEST(StorageShardTest, AnyShardCountIsBitIdenticalToInProcessChase) {
     EXPECT_EQ(stats.bad_acks, 0u) << label;
     EXPECT_GT(stats.max_fragment_facts, 0u) << label;
     EXPECT_LE(stats.max_fragment_facts, reference.instance.size()) << label;
-    EXPECT_GT(stats.max_worker_rss_kb, 0) << label;
     EXPECT_GE(stats.logs_written, stats.rounds) << label;
   }
   ExpectNoZombies("storage shard-count sweep");
@@ -577,6 +574,59 @@ TEST(StorageShardTest, DoubleFragmentCorruptionIsShardLostAtBoundary) {
   Term::SetNextNullId(null_base);
 }
 
+/// An irrecoverable shard with no inline fallback stops the run with
+/// Status::kShardLost at the last committed boundary. That boundary is on
+/// disk, and a resume under a different shard count lands bit-identical
+/// to the uninterrupted run.
+TEST(StorageShardTest, ShardLostRunResumesUnderDifferentShardCount) {
+  Instance db = StDb();
+  TgdSet sigma = StSigma();
+  const uint32_t null_base = Term::NextNullId();
+
+  Term::SetNextNullId(null_base);
+  ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
+  ASSERT_TRUE(reference.complete);
+  ASSERT_GE(reference.rounds_completed, 4u);
+
+  // Shard 1 dies on both attempts of its boundary-2 discovery.
+  const std::string dir = FreshDir("lost_ckpt");
+  const std::string state_dir = FreshDir("lost_state");
+  StorageShardOptions doomed = FastStorageOptions(4);
+  doomed.state_dir = state_dir;
+  doomed.inline_fallback = false;
+  doomed.max_attempts = 2;
+  doomed.faults.push_back(
+      {2, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kDiscover});
+  doomed.faults.push_back(
+      {2, 1, 2, StorageFault::Kind::kOom, StorageFault::Phase::kDiscover});
+  Term::SetNextNullId(null_base);
+  StorageShardStats stats;
+  ChaseResult lost = ResumeStorageShardChase(
+      dir, db, sigma, WitnessChaseOptions(), doomed, nullptr, &stats);
+  EXPECT_EQ(lost.outcome.status, Status::kShardLost);
+  EXPECT_FALSE(lost.complete);
+  EXPECT_EQ(lost.rounds_completed, 2u);
+  EXPECT_EQ(stats.inline_fallbacks, 0u);
+  ExpectNoZombies("storage shard lost");
+
+  Term::SetNextNullId(null_base + 4321);
+  StorageShardOptions after = FastStorageOptions(3);
+  after.state_dir = state_dir;
+  ResumeInfo info;
+  ChaseResult resumed = ResumeStorageShardChase(
+      dir, db, sigma, WitnessChaseOptions(), after, &info);
+  EXPECT_TRUE(info.resumed);
+  ASSERT_TRUE(resumed.complete);
+  ExpectBitIdentical(resumed, reference, "resume after shard loss");
+  ExpectWitnessIdentical(db, sigma, resumed, reference,
+                         "resume after shard loss");
+
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(state_dir);
+  ExpectNoZombies("resume after shard loss");
+  Term::SetNextNullId(null_base);
+}
+
 /// Whole-coordinator crash: kill the run mid-flight (governor fault
 /// injector), then restart from the engine checkpoints with the same
 /// durable state_dir and layout. The restarted fleet rebuilds its
@@ -651,45 +701,75 @@ TEST(StorageShardTest, CoordinatorKillAndRestartRebuildsFromDisk) {
 
 /// Restart under a different layout: the old fragments and logs are
 /// unusable under the new shard count, so the fleet reseeds — still
-/// bit-identical.
+/// bit-identical, down to the newest engine checkpoint's bytes.
 TEST(StorageShardTest, RestartUnderDifferentLayoutReseeds) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
   const uint32_t null_base = Term::NextNullId();
 
+  // Uninterrupted single-process durable reference.
+  const std::string ref_dir = FreshDir("relayout_ref");
   Term::SetNextNullId(null_base);
-  ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
+  ChaseResult reference =
+      ResumeChase(ref_dir, db, sigma, WitnessChaseOptions());
   ASSERT_TRUE(reference.complete);
+  CheckpointDir ref_checkpoints(ref_dir);
+  std::string ref_bytes;
+  ASSERT_TRUE(ReadFileBytes(ref_checkpoints.GenerationPath(
+                                ref_checkpoints.Generations().back()),
+                            &ref_bytes)
+                  .ok());
 
-  const std::string dir = FreshDir("relayout_ckpt");
-  const std::string state_dir = FreshDir("relayout_state");
+  for (const auto& [n, m] : {std::pair<int, int>{2, 3},
+                             std::pair<int, int>{8, 2},
+                             std::pair<int, int>{1, 8}}) {
+    const std::string label =
+        "relayout " + std::to_string(n) + "->" + std::to_string(m);
+    const std::string dir = FreshDir("relayout_ckpt");
+    const std::string state_dir = FreshDir("relayout_state");
 
-  Term::SetNextNullId(null_base);
-  TestFaultInjector injector(Status::kCancelled, 60);
-  ExecutionBudget budget;
-  budget.max_facts = 0;
-  Governor governor(budget, &injector);
-  ChaseOptions killed_options = WitnessChaseOptions();
-  killed_options.governor = &governor;
-  StorageShardOptions before = FastStorageOptions(2);
-  before.state_dir = state_dir;
-  ChaseResult killed =
-      ResumeStorageShardChase(dir, db, sigma, killed_options, before);
-  ASSERT_FALSE(killed.complete);
+    // Phase 1: N shards, killed partway through; engine checkpoints and
+    // N-shard fragments survive on disk.
+    Term::SetNextNullId(null_base);
+    TestFaultInjector injector(Status::kCancelled, 60);
+    ExecutionBudget budget;
+    budget.max_facts = 0;
+    Governor governor(budget, &injector);
+    ChaseOptions killed_options = WitnessChaseOptions();
+    killed_options.governor = &governor;
+    StorageShardOptions before = FastStorageOptions(n);
+    before.state_dir = state_dir;
+    ChaseResult killed =
+        ResumeStorageShardChase(dir, db, sigma, killed_options, before);
+    ASSERT_EQ(killed.outcome.status, Status::kCancelled) << label;
+    ASSERT_FALSE(killed.complete) << label;
 
-  Term::SetNextNullId(null_base + 31);
-  StorageShardOptions after = FastStorageOptions(8);
-  after.state_dir = state_dir;
-  ResumeInfo info;
-  ChaseResult resumed = ResumeStorageShardChase(
-      dir, db, sigma, WitnessChaseOptions(), after, &info);
-  EXPECT_TRUE(info.resumed);
-  ASSERT_TRUE(resumed.complete);
-  ExpectBitIdentical(resumed, reference, "relayout restart");
-  ExpectWitnessIdentical(db, sigma, resumed, reference, "relayout restart");
+    // Phase 2: restart under M shards over the same durable state.
+    Term::SetNextNullId(null_base + 31);
+    StorageShardOptions after = FastStorageOptions(m);
+    after.state_dir = state_dir;
+    ResumeInfo info;
+    ChaseResult resumed = ResumeStorageShardChase(
+        dir, db, sigma, WitnessChaseOptions(), after, &info);
+    EXPECT_TRUE(info.resumed) << label;
+    ASSERT_TRUE(resumed.complete) << label;
+    ExpectBitIdentical(resumed, reference, label);
+    ExpectWitnessIdentical(db, sigma, resumed, reference, label);
 
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(state_dir);
+    CheckpointDir checkpoints(dir);
+    ASSERT_FALSE(checkpoints.Generations().empty()) << label;
+    std::string resumed_bytes;
+    ASSERT_TRUE(ReadFileBytes(checkpoints.GenerationPath(
+                                  checkpoints.Generations().back()),
+                              &resumed_bytes)
+                    .ok())
+        << label;
+    EXPECT_EQ(resumed_bytes, ref_bytes) << label;
+
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(state_dir);
+  }
+  std::filesystem::remove_all(ref_dir);
   ExpectNoZombies("relayout restart");
   Term::SetNextNullId(null_base);
 }

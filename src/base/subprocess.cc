@@ -424,17 +424,22 @@ HeartbeatWriter::HeartbeatWriter(int fd, double interval_ms) {
       interval_ms > 0 ? interval_ms : 25.0);
   thread_ = std::thread([this, fd, interval] {
     const char beat = '.';
-    while (!stop_.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
       // A full pipe or dead supervisor is not the worker's problem;
       // compute on regardless.
       (void)!::write(fd, &beat, 1);
-      std::this_thread::sleep_for(interval);
+      cv_.wait_for(lock, interval, [this] { return stop_; });
     }
   });
 }
 
 HeartbeatWriter::~HeartbeatWriter() {
-  stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_one();
   if (thread_.joinable()) thread_.join();
 }
 

@@ -3,10 +3,11 @@
 
 #include <sys/types.h>
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -142,6 +143,11 @@ class WorkerProcess {
 /// background thread until destroyed. A worker that stalls wholesale
 /// (SIGSTOP, kernel livelock) stops beating — its threads stop with it —
 /// and the supervisor's heartbeat timeout reaps it.
+///
+/// Destruction is prompt: the thread waits out each interval on a
+/// condition variable, so the destructor wakes and joins it at once
+/// instead of after up to one interval. A worker whose work is done exits
+/// without waiting for the next beat.
 class HeartbeatWriter {
  public:
   HeartbeatWriter(int fd, double interval_ms);
@@ -151,7 +157,9 @@ class HeartbeatWriter {
   HeartbeatWriter& operator=(const HeartbeatWriter&) = delete;
 
  private:
-  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;  // guarded by mu_
   std::thread thread_;
 };
 

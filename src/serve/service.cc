@@ -125,11 +125,13 @@ class ServeEngine::Impl {
 
   double NowMs() const { return clock_.ElapsedMs(); }
 
-  /// Parses and caches a program for witness re-checking. Parsing must
-  /// happen *before* the first fork touching the program: worker
-  /// children then inherit an interner with identical ids, so the
-  /// supervisor's replayed instances serialize to the same bytes as the
-  /// workers' and the digest cross-checks in CheckWitness are exact.
+  /// Parses and caches a program (verify mode) for witness re-checking
+  /// and as the program workers evaluate (StartAttempt), so each program
+  /// is parsed once. Parsing must happen *before* the first fork touching
+  /// the program: worker children then inherit an interner with
+  /// identical ids, so the supervisor's replayed instances serialize to
+  /// the same bytes as the workers' and the digest cross-checks in
+  /// CheckWitness are exact.
   void PreloadProgram(const std::string& path) {
     if (!options_.verify || programs_.count(path) > 0) return;
     std::string text;
@@ -467,6 +469,13 @@ class ServeEngine::Impl {
     invocation.degraded_fallback_level = options_.degraded_fallback_level;
     invocation.heartbeat_interval_ms = options_.heartbeat_interval_ms;
     invocation.collect_witness = options_.verify;
+    // Verify mode: the worker evaluates the supervisor's own parse (map
+    // nodes never move, and the child reads its copy-on-write image).
+    // Elsewhere programs_ is empty and the worker parses the file itself.
+    auto program_it = programs_.find(job.request.program_path);
+    if (program_it != programs_.end()) {
+      invocation.program = &program_it->second;
+    }
     if (!work_dir_.empty()) {
       invocation.checkpoint_dir =
           work_dir_ + "/" + SanitizeId(job.request.id);

@@ -116,7 +116,8 @@ struct ServeOptions {
   /// full certificate (e.g. resumed from a pre-witness snapshot) is
   /// accepted but flagged unverified. The supervisor parses every
   /// distinct program up front, before the first fork, so worker
-  /// children inherit an identical interner and digests stay comparable.
+  /// children inherit an identical interner and digests stay comparable;
+  /// the children evaluate that parse instead of re-reading the file.
   bool verify = false;
 };
 
@@ -227,11 +228,13 @@ class ServeEngine {
   /// deadline below is measured against).
   double NowMs() const;
 
-  /// Parses and caches `path` for witness re-checking (verify mode).
+  /// Parses and caches `path` (verify mode) for witness re-checking and
+  /// as the program forked workers evaluate, so no worker re-parses it.
   /// Parsing must precede the first worker fork touching the program so
   /// children inherit an identical interner; Submit calls this itself,
   /// so explicit preloading is only an ordering optimization for batch
-  /// callers.
+  /// callers. A file that fails to read or parse is not cached; workers
+  /// then try it themselves and fail with parse-error.
   void PreloadProgram(const std::string& path);
 
   /// Accepts a request (copied) and returns its ticket. No admission

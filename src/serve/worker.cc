@@ -355,12 +355,21 @@ int RunWorkerInProcess(const WorkerInvocation& invocation, int result_fd,
   try {
     ApplyPreEvalFault(invocation.fault);
 
-    std::string text;
-    if (!ReadFileBytes(invocation.request.program_path, &text).ok()) {
-      return kWorkerExitParseError;
+    // Without a supervisor-parsed program (non-verify mode, in-process
+    // callers) the worker parses its own. Non-verify mode must: result
+    // lines carry a chase CRC over interned ids, and a supervisor-side
+    // parse would make those ids depend on request admission order.
+    ParseResult parsed;
+    const Program* program = invocation.program;
+    if (program == nullptr) {
+      std::string text;
+      if (!ReadFileBytes(invocation.request.program_path, &text).ok()) {
+        return kWorkerExitParseError;
+      }
+      parsed = ParseProgram(text);
+      if (!parsed.ok) return kWorkerExitParseError;
+      program = &parsed.program;
     }
-    ParseResult parsed = ParseProgram(text);
-    if (!parsed.ok) return kWorkerExitParseError;
 
     // A kill/stall fault rides the governor's deterministic fault
     // injector: the evaluation stops at exactly checkpoint N (status
@@ -376,7 +385,7 @@ int RunWorkerInProcess(const WorkerInvocation& invocation, int result_fd,
 
     WorkerResult result;
     const int code =
-        EvaluateRequest(invocation, parsed.program, &governor, &result);
+        EvaluateRequest(invocation, *program, &governor, &result);
     ApplyPostEvalFault(invocation.fault, governor.status());
     if (code != kWorkerExitOk) return code;
 

@@ -10,6 +10,8 @@
 
 namespace gqe {
 
+struct Program;
+
 /// Worker exit codes the supervisor classifies. Anything else (including
 /// signal deaths) is treated as a crash and retried.
 constexpr int kWorkerExitOk = 0;
@@ -31,7 +33,8 @@ const char* WorkerExitCodeName(int code);
 
 /// What a worker computed, serialized over the result pipe. Contains only
 /// scalars and strings — decoding never touches the interner, so the
-/// supervisor (which parses no programs) can read it from any child.
+/// supervisor can read it from any child without having parsed the
+/// program the child evaluated.
 struct WorkerResult {
   std::string id;
   /// Governor status of the evaluation (deadline/budget trips end up
@@ -93,13 +96,19 @@ struct WorkerInvocation {
   /// Collect a machine-checkable certificate alongside the result
   /// (supervisor --verify mode).
   bool collect_witness = false;
+  /// The already-parsed program to evaluate, or null to read and parse
+  /// request.program_path. The verify-mode supervisor points this into
+  /// its own program cache, parsed before the fork; the forked child
+  /// reads it from its copy-on-write image. Not owned.
+  const Program* program = nullptr;
 };
 
-/// Child-side entry point: parses the program, evaluates the request
-/// under a governor built from its budget, injects `fault` at the
-/// prescribed checkpoint, writes the encoded WorkerResult to `result_fd`
-/// and returns the exit code. Runs inside the forked worker; callable
-/// in-process from tests only with a non-lethal fault spec.
+/// Child-side entry point: evaluates the request against
+/// `invocation.program` (reading and parsing request.program_path when
+/// that is null) under a governor built from its budget, injects `fault`
+/// at the prescribed checkpoint, writes the encoded WorkerResult to
+/// `result_fd` and returns the exit code. Runs inside the forked worker;
+/// callable in-process from tests only with a non-lethal fault spec.
 int RunWorkerInProcess(const WorkerInvocation& invocation, int result_fd,
                        int heartbeat_fd);
 

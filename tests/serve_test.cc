@@ -7,15 +7,19 @@
 // failures and the chaos soak from the acceptance criteria.
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "parser/parser.h"
 #include "serve/request.h"
 #include "serve/service.h"
 #include "serve/worker.h"
+#include "sanitized.h"
 
 namespace gqe {
 namespace {
@@ -180,6 +184,61 @@ TEST(ServeWorkerResultTest, EncodeDecodeRoundTrip) {
           .ok());
 }
 
+/// Runs one invocation in this process and decodes its result; the exit
+/// code lands in `code`.
+WorkerResult RunInProcess(const WorkerInvocation& invocation, int* code) {
+  const std::string path = ::testing::TempDir() + "gqe_serve_inproc.bin";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  EXPECT_GE(fd, 0) << path;
+  *code = RunWorkerInProcess(invocation, fd, -1);
+  ::close(fd);
+  WorkerResult result;
+  std::string bytes;
+  if (*code == kWorkerExitOk) {
+    EXPECT_TRUE(ReadFileBytes(path, &bytes).ok());
+    EXPECT_TRUE(DecodeWorkerResult(bytes, &result).ok());
+  }
+  return result;
+}
+
+/// A worker handed an already-parsed program evaluates it without
+/// touching request.program_path, and digests exactly as a worker that
+/// read and parsed the file itself.
+TEST(ServeWorkerTest, PreparsedProgramMatchesPathBasedRun) {
+  const std::string chain = WriteProgram("preparsed_chain", kChainProgram);
+  const std::string univ = WriteProgram("preparsed_univ", kUniversityProgram);
+  ParseResult chain_parsed = ParseProgram(kChainProgram);
+  ParseResult univ_parsed = ParseProgram(kUniversityProgram);
+  ASSERT_TRUE(chain_parsed.ok) << chain_parsed.error;
+  ASSERT_TRUE(univ_parsed.ok) << univ_parsed.error;
+
+  WorkerInvocation chase;
+  chase.request = ChaseRequest("pre-chase", chain);
+  WorkerInvocation cqs;
+  cqs.request.id = "pre-cqs";
+  cqs.request.kind = RequestKind::kCqs;
+  cqs.request.program_path = univ;
+  cqs.request.query = "svuq";
+
+  for (auto [invocation, program] :
+       {std::pair{chase, &chain_parsed.program},
+        std::pair{cqs, &univ_parsed.program}}) {
+    int code = -1;
+    const WorkerResult from_path = RunInProcess(invocation, &code);
+    ASSERT_EQ(code, kWorkerExitOk) << invocation.request.id;
+
+    invocation.program = program;
+    invocation.request.program_path = "/nonexistent";
+    const WorkerResult preparsed = RunInProcess(invocation, &code);
+    ASSERT_EQ(code, kWorkerExitOk) << invocation.request.id;
+    EXPECT_EQ(preparsed.answer_count, from_path.answer_count)
+        << invocation.request.id;
+    EXPECT_EQ(preparsed.answer_crc, from_path.answer_crc)
+        << invocation.request.id;
+    EXPECT_EQ(preparsed.facts, from_path.facts) << invocation.request.id;
+  }
+}
+
 TEST(ServeTest, FaultFreeManifestCompletesEveryKind) {
   const std::string chain = WriteProgram("chain", kChainProgram);
   const std::string univ = WriteProgram("univ", kUniversityProgram);
@@ -262,7 +321,13 @@ TEST(ServeTest, ChaosMatrixReportsBitIdenticalToFaultFree) {
 
   EXPECT_EQ(RowById(faulty_report, "m-kill").attempts[0].cause, "sigkill");
   EXPECT_EQ(RowById(faulty_report, "m-cpu").attempts[0].cause, "cpu-limit");
+#ifdef GQE_SANITIZED
+  // The sanitizer allocator dies instead of throwing (see sanitized.h):
+  // still a contained, retried death, but not the dedicated OOM exit.
+  EXPECT_NE(RowById(faulty_report, "m-oom").attempts[0].cause, "ok");
+#else
   EXPECT_EQ(RowById(faulty_report, "m-oom").attempts[0].cause, "oom");
+#endif
   EXPECT_EQ(RowById(faulty_report, "m-stall").attempts[0].cause,
             "heartbeat-timeout");
   EXPECT_EQ(RowById(faulty_report, "m-exit").attempts[0].cause, "exit:3");
@@ -363,6 +428,47 @@ TEST(ServeTest, PermanentFailuresAreNotRetried) {
   EXPECT_EQ(row.state, TerminalState::kFailed);
   EXPECT_EQ(row.failure_cause, "parse-error");
   EXPECT_EQ(row.attempts.size(), 1u);
+}
+
+/// Verify mode hands workers the supervisor's parse; a program the
+/// supervisor could not read or parse is left to the worker, which fails
+/// it permanently exactly as without --verify.
+TEST(ServeTest, PermanentFailuresAreNotRetriedUnderVerify) {
+  const std::string broken = WriteProgram("broken", "svq(X) :- sv0(X");
+  Manifest manifest;
+  manifest.requests.push_back(
+      ChaseRequest("gone-1", "/nonexistent/program.gqe"));
+  manifest.requests.push_back(ChaseRequest("broken-1", broken));
+  ServeOptions options = FastOptions();
+  options.verify = true;
+  ServeReport report = ServeManifest(manifest, options);
+  for (const RequestRow& row : report.rows) {
+    EXPECT_EQ(row.state, TerminalState::kFailed) << row.id;
+    EXPECT_EQ(row.failure_cause, "parse-error") << row.id;
+    EXPECT_EQ(row.attempts.size(), 1u) << row.id;
+  }
+}
+
+/// A finished worker exits at once instead of waiting out its heartbeat
+/// interval: attempt latency is the evaluation's, not the beat period's.
+TEST(ServeTest, HeartbeatIntervalDoesNotDelayCompletion) {
+  const std::string chain = WriteProgram("prompt", kChainProgram);
+  Manifest manifest;
+  EvalRequest cq;
+  cq.id = "prompt-cq";
+  cq.kind = RequestKind::kCq;
+  cq.program_path = chain;
+  cq.query = "svq";
+  manifest.requests.push_back(cq);
+
+  ServeOptions options = FastOptions();
+  options.heartbeat_interval_ms = 500.0;
+  options.heartbeat_timeout_ms = 5000.0;
+  ServeReport report = ServeManifest(manifest, options);
+  const RequestRow& row = RowById(report, "prompt-cq");
+  ASSERT_EQ(row.state, TerminalState::kCompleted);
+  ASSERT_EQ(row.attempts.size(), 1u);
+  EXPECT_LT(row.attempts[0].ms, 250.0);
 }
 
 /// Certified answers across every request kind: with verify on, a

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "base/subprocess.h"
+#include "sanitized.h"
 
 namespace gqe {
 namespace {
@@ -71,19 +72,6 @@ TEST(SubprocessTest, SignalDeathIsClassified) {
   EXPECT_TRUE(worker.exit_status().signaled);
   EXPECT_EQ(worker.exit_status().term_signal, SIGKILL);
 }
-
-// Sanitizer allocators abort (or return null) on allocation failure
-// instead of throwing std::bad_alloc, so the contract this test observes
-// does not exist under them. The production path is unaffected: a
-// sanitized worker that hits RLIMIT_AS still *dies*, and supervisors
-// classify the death; only the exact exit code differs.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define GQE_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define GQE_SANITIZED 1
-#endif
-#endif
 
 TEST(SubprocessTest, AddressSpaceLimitMakesAllocationFail) {
 #ifdef GQE_SANITIZED
@@ -158,6 +146,27 @@ TEST(SubprocessTest, HeartbeatsFlowWhileAlive) {
   beats += worker.DrainHeartbeats();
   EXPECT_GE(beats, 3u);
   EXPECT_TRUE(worker.exit_status().reaped);
+}
+
+// A worker whose work is done must not wait out its heartbeat interval
+// on the way out: the writer's destructor wakes the beating thread.
+TEST(SubprocessTest, HeartbeatWriterStopsPromptly) {
+  WorkerProcess worker;
+  std::string error;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{},
+      [](int, int heartbeat_fd) {
+        HeartbeatWriter heartbeat(heartbeat_fd, 1000.0);
+        // Let the thread beat once and start waiting, so the destructor
+        // has an interval to cut short rather than a thread not yet begun.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 0;
+      },
+      &worker, &error))
+      << error;
+  ASSERT_TRUE(ReapWithin(&worker, 200));
+  EXPECT_TRUE(worker.exit_status().exited);
+  EXPECT_EQ(worker.exit_status().exit_code, 0);
 }
 
 TEST(SubprocessTest, SigkillReachesAStoppedWorker) {

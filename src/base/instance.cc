@@ -4,6 +4,7 @@
 #include <cassert>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace gqe {
 
@@ -15,14 +16,14 @@ const std::vector<uint32_t>& EmptyIndexVector() {
 }
 }  // namespace
 
-bool Instance::Insert(const Atom& atom) {
+template <typename AtomRef>
+bool Instance::InsertRow(AtomRef&& atom) {
   assert(atom.IsGround() && "instances contain only ground atoms");
   const uint32_t arity = static_cast<uint32_t>(atom.arity());
   auto [index, fresh] =
       store_.InsertUnique(atom.predicate(), atom.args().data(), arity);
   if (!fresh) return false;
   assert(index == atoms_.size() && "row store and columnar store diverged");
-  atoms_.push_back(atom);
   if (atom.predicate() >= by_predicate_.size()) {
     by_predicate_.resize(atom.predicate() + 1);
   }
@@ -38,8 +39,14 @@ bool Instance::Insert(const Atom& atom) {
       mentions.push_back(index);
     }
   }
+  // Last, so the indexing above still reads a not-yet-moved `atom`.
+  atoms_.push_back(std::forward<AtomRef>(atom));
   return true;
 }
+
+bool Instance::Insert(const Atom& atom) { return InsertRow(atom); }
+
+bool Instance::Insert(Atom&& atom) { return InsertRow(std::move(atom)); }
 
 void Instance::InsertAll(const Instance& other) {
   Reserve(size() + other.size(), store_.term_column().size() +
@@ -62,9 +69,15 @@ int64_t Instance::Find(const Atom& atom) const {
 }
 
 void Instance::Reserve(size_t facts, size_t terms) {
+  // dom(I) never outgrows the instance's argument positions.
+  domain_set_.reserve(terms);
+  if (facts > atoms_.capacity()) {
+    facts = std::max(facts, 2 * atoms_.capacity());
+  }
+  const size_t term_capacity = store_.term_column().capacity();
+  if (terms > term_capacity) terms = std::max(terms, 2 * term_capacity);
   atoms_.reserve(facts);
   store_.Reserve(facts, terms);
-  domain_set_.reserve(domain_.size() + terms);
 }
 
 const std::vector<uint32_t>& Instance::FactsWithPredicate(

@@ -37,6 +37,11 @@ class Instance {
   /// builds if the atom contains variables.
   bool Insert(const Atom& atom);
 
+  /// As Insert(const Atom&), but a new fact's argument vector is moved
+  /// into the row store instead of copied. A duplicate returns false and
+  /// leaves `atom` untouched.
+  bool Insert(Atom&& atom);
+
   /// Inserts all facts of another instance.
   void InsertAll(const Instance& other);
   void InsertAll(const std::vector<Atom>& atoms);
@@ -68,6 +73,8 @@ class Instance {
 
   /// Pre-sizes all layers for `facts` facts holding `terms` argument
   /// positions in total (workload fingerprint / checkpoint header hint).
+  /// Growing an already-filled instance at least doubles the row and
+  /// column capacity, so per-round calls keep amortized appends.
   void Reserve(size_t facts, size_t terms);
 
   /// Indices of facts with the given predicate.
@@ -117,6 +124,12 @@ class Instance {
     return (static_cast<uint64_t>(pred) << 40) |
            (static_cast<uint64_t>(position & 0xff) << 32) | term.bits();
   }
+
+  /// The body of both Insert overloads: dedups through the columnar
+  /// store, posts a new fact into the inverted indexes, then copies or
+  /// moves it into the row store.
+  template <typename AtomRef>
+  bool InsertRow(AtomRef&& atom);
 
   std::vector<Atom> atoms_;  // row store: canonical insertion order
   FactStore store_;          // columnar mirror + open-addressing dedup

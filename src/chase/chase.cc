@@ -17,15 +17,13 @@ namespace gqe {
 namespace {
 
 /// Identity of an oblivious-chase trigger: the TGD index plus the images
-/// of its body variables (paper: the pair (σ, (c̄, c̄'))).
-std::vector<uint32_t> TriggerKey(size_t tgd_index,
-                                 const std::vector<Term>& body_vars,
-                                 const Substitution& sub) {
-  std::vector<uint32_t> key;
-  key.reserve(body_vars.size() + 1);
-  key.push_back(static_cast<uint32_t>(tgd_index));
-  for (Term v : body_vars) key.push_back(sub.Apply(v).bits());
-  return key;
+/// of its body variables (paper: the pair (σ, (c̄, c̄'))), written into
+/// `key` (reused across calls).
+void FillTriggerKey(size_t tgd_index, const std::vector<Term>& body_vars,
+                    const Substitution& sub, std::vector<uint32_t>* key) {
+  key->clear();
+  key->push_back(static_cast<uint32_t>(tgd_index));
+  for (Term v : body_vars) key->push_back(sub.Apply(v).bits());
 }
 
 /// True if the head of `tgd` is satisfied in `instance` with the frontier
@@ -98,7 +96,12 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
   bool collecting = options.collect_witness && !options.restricted;
   bool witness_exact = true;
 
-  TriggerKeySet fired;
+  // Every trigger key the run has seen: fired ones and the discovered
+  // but not yet fired ones (pending or carried). A candidate is new iff
+  // its key is absent. Keys stay once entered, except that naive mode
+  // resets the set to the fired keys at each round start.
+  TriggerKeySet seen;
+  std::vector<uint32_t> key;  // reused key buffer
   std::vector<std::vector<Term>> body_vars(tgds.size());
   std::vector<std::vector<Term>> existentials(tgds.size());
   for (size_t i = 0; i < tgds.size(); ++i) {
@@ -118,19 +121,9 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
   size_t delta_start = 0;  // first fact index of the current delta
   std::vector<PendingTrigger> carried;  // unfired triggers above min level
 
-  TriggerKeySet pending_keys;
-
   // Lemma A.1 level of fact i, parallel to the instance's insertion
-  // order. The fast-path replacement for the atom-keyed `result.levels`
-  // map, which is rebuilt from this vector once at the end of the run.
-  std::vector<int32_t> level_by_index;
-  auto publish_levels = [&]() {
-    result.levels.clear();
-    result.levels.reserve(level_by_index.size());
-    for (size_t i = 0; i < level_by_index.size(); ++i) {
-      result.levels[result.instance.atom(i)] = level_by_index[i];
-    }
-  };
+  // order.
+  std::vector<int32_t>& levels = result.levels;
 
   if (resume != nullptr) {
     // Rebuild the round-boundary state. Insertion order, levels and the
@@ -139,11 +132,10 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     // would have.
     Term::SetNextNullId(resume->next_null_id);
     result.instance.Reserve(resume->atoms.size(), resume->atoms.size() * 2);
-    level_by_index.reserve(resume->atoms.size());
+    levels.reserve(resume->atoms.size());
     for (size_t i = 0; i < resume->atoms.size(); ++i) {
       if (result.instance.Insert(resume->atoms[i])) {
-        level_by_index.push_back(
-            i < resume->levels.size() ? resume->levels[i] : 0);
+        levels.push_back(i < resume->levels.size() ? resume->levels[i] : 0);
       }
     }
     // The committed prefix counts toward the fact budget just as the
@@ -153,8 +145,8 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     result.triggers_fired = resume->triggers_fired;
     result.max_level_built = resume->max_level_built;
     delta_start = static_cast<size_t>(resume->delta_start);
-    fired.reserve(resume->fired.size());
-    for (const auto& key : resume->fired) fired.insert(key);
+    seen.reserve(resume->fired.size() + resume->carried.size());
+    for (const auto& fired_key : resume->fired) seen.insert(fired_key);
     for (const ChaseCheckpointState::CarriedTrigger& c : resume->carried) {
       PendingTrigger trigger;
       trigger.tgd_index = c.tgd_index;
@@ -163,15 +155,15 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         trigger.sub.Set(Term::FromBits(from), Term::FromBits(to));
       }
       if (trigger.tgd_index < tgds.size()) {
-        pending_keys.insert(TriggerKey(trigger.tgd_index,
-                                       body_vars[trigger.tgd_index],
-                                       trigger.sub));
+        FillTriggerKey(trigger.tgd_index, body_vars[trigger.tgd_index],
+                       trigger.sub, &key);
+        seen.insert(key);
         carried.push_back(std::move(trigger));
       }
     }
   } else {
-    result.instance.InsertAll(*db);
-    level_by_index.assign(result.instance.size(), 0);
+    result.instance = *db;
+    levels.assign(result.instance.size(), 0);
     // Copying the input counts toward the fact budget, so nested engines
     // sharing a governor cannot multiply caps by re-copying.
     governor->ChargeFacts(db->size());
@@ -187,7 +179,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       BuildDerivationWitness(resume->fired, resume->fired_nulls,
                              /*exact=*/true, /*complete=*/true, &result);
     }
-    publish_levels();
     result.outcome = governor->MakeOutcome();
     return result;
   }
@@ -205,8 +196,9 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
           ? 1
           : static_cast<uint64_t>(options.checkpoint_every);
   ChaseCheckpointState boundary;
-  // Fired keys in firing order (tracking or witness collection) and,
-  // when collecting, the parallel per-step null draws.
+  // Fired keys in firing order (tracking, witness collection, or naive
+  // mode, which rebuilds `seen` from it every round) and, when
+  // collecting, the parallel per-step null draws.
   std::vector<std::vector<uint32_t>> fired_log;
   std::vector<std::vector<uint32_t>> null_log;
   // Generation already delivered to the sink (the resumed-from state is
@@ -225,12 +217,13 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       }
     }
     if (tracking) boundary = *resume;
-    if (tracking || collecting) fired_log = resume->fired;
   }
+  const bool logging = tracking || collecting || !options.semi_naive;
+  if (resume != nullptr && logging) fired_log = resume->fired;
   auto sync_boundary = [&]() {
     for (size_t i = boundary.atoms.size(); i < result.instance.size(); ++i) {
       boundary.atoms.push_back(result.instance.atom(i));
-      boundary.levels.push_back(level_by_index[i]);
+      boundary.levels.push_back(levels[i]);
     }
     for (size_t i = boundary.fired.size(); i < fired_log.size(); ++i) {
       boundary.fired.push_back(fired_log[i]);
@@ -284,18 +277,20 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       break;
     }
     if (!options.semi_naive) {
-      // Naive mode: rediscover everything each round.
+      // Naive mode: rediscover everything each round; only fired keys
+      // stay seen.
       carried.clear();
-      pending_keys.clear();
+      seen.clear();
+      seen.reserve(fired_log.size());
+      for (const auto& fired_key : fired_log) seen.insert(fired_key);
       delta_start = 0;
     }
     std::vector<PendingTrigger> pending = std::move(carried);
     carried.clear();
     std::vector<Term> image_scratch;
-    auto consider = [&](size_t t, const Substitution& sub) {
-      std::vector<uint32_t> key = TriggerKey(t, body_vars[t], sub);
-      if (fired.contains(key)) return;
-      if (!pending_keys.insert(key)) return;
+    auto consider = [&](size_t t, Substitution&& sub) {
+      FillTriggerKey(t, body_vars[t], sub, &key);
+      if (!seen.insert(key)) return;
       int level = 0;
       for (const Atom& body_atom : tgds[t].body()) {
         // Columnar level lookup: apply the substitution into a scratch
@@ -306,9 +301,9 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         const int64_t index = result.instance.store().Find(
             body_atom.predicate(), image_scratch.data(),
             static_cast<uint32_t>(image_scratch.size()));
-        if (index >= 0) level = std::max(level, level_by_index[index]);
+        if (index >= 0) level = std::max(level, levels[index]);
       }
-      pending.push_back({t, sub, level});
+      pending.push_back({t, std::move(sub), level});
     };
     const size_t delta_end = result.instance.size();
 
@@ -396,10 +391,14 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     // and hence null allocation and fact insertion order — of the
     // sequential engine exactly.
     auto merge_start = std::chrono::steady_clock::now();
+    for (const std::vector<Substitution>& subs : found) {
+      stats.candidates += subs.size();
+    }
+    seen.reserve(seen.size() + stats.candidates);
+    pending.reserve(pending.size() + stats.candidates);
     for (size_t u = 0; u < units.size(); ++u) {
-      stats.candidates += found[u].size();
-      for (const Substitution& sub : found[u]) {
-        consider(units[u].tgd_index, sub);
+      for (Substitution& sub : found[u]) {
+        consider(units[u].tgd_index, std::move(sub));
       }
     }
     found.clear();
@@ -462,17 +461,23 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     // so the derivation log only ever describes committed facts.
     const size_t round_log_start = fired_log.size();
     auto commit_staged = [&]() {
+      if (staged.empty()) return;
+      size_t staged_terms = 0;
+      for (const auto& [fact, level] : staged) staged_terms += fact.arity();
+      result.instance.Reserve(
+          result.instance.size() + staged.size(),
+          result.instance.store().term_column().size() + staged_terms);
       for (auto& [fact, level] : staged) {
-        if (result.instance.Insert(fact)) level_by_index.push_back(level);
+        if (result.instance.Insert(std::move(fact))) levels.push_back(level);
         result.max_level_built = std::max(result.max_level_built, level);
       }
       staged.clear();
       staged_set.clear();
     };
-    for (const auto& trigger : pending) {
+    for (PendingTrigger& trigger : pending) {
       if (trigger.level != min_level) {
         // Keep for a later round (its level's turn has not come).
-        carried.push_back(trigger);
+        carried.push_back(std::move(trigger));
         continue;
       }
       const Status at_trigger = governor->Check();
@@ -480,19 +485,20 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         abort_status = at_trigger;
         break;
       }
-      std::vector<uint32_t> key =
-          TriggerKey(trigger.tgd_index, body_vars[trigger.tgd_index],
-                     trigger.sub);
-      pending_keys.erase(key);
-      if (!fired.insert(key)) continue;
-      if (tracking || collecting) fired_log.push_back(key);
+      if (logging) {
+        FillTriggerKey(trigger.tgd_index, body_vars[trigger.tgd_index],
+                       trigger.sub, &key);
+        fired_log.push_back(key);
+      }
       const Tgd& tgd = tgds[trigger.tgd_index];
       if (options.restricted &&
           HeadSatisfied(result.instance, tgd, trigger.sub, governor)) {
         continue;
       }
       ++round_fired;
-      Substitution extended = trigger.sub;
+      // The trigger is spent after this step, so its substitution is
+      // extended in place.
+      Substitution& extended = trigger.sub;
       std::vector<uint32_t> drawn;
       for (Term z : existentials[trigger.tgd_index]) {
         Term fresh = Term::FreshNull();
@@ -509,8 +515,8 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
           budget_hit = true;
           break;
         }
-        staged.push_back({fact, trigger.level + 1});
         staged_set.insert(fact);
+        staged.emplace_back(std::move(fact), trigger.level + 1);
       }
       if (options.restricted) commit_staged();
       if (budget_hit) break;
@@ -552,7 +558,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     }
     ++result.rounds_completed;
   }
-  publish_levels();
   if (collecting) {
     BuildDerivationWitness(fired_log, null_log, witness_exact,
                            result.complete, &result);
@@ -618,12 +623,17 @@ void RunChaseDiscoveryUnit(const ChaseDiscoveryUnit& unit, const TgdSet& tgds,
     *out = search.FindAll();
     return;
   }
-  // Anchor one body atom at each fact of this unit's delta chunk. The
-  // predicate filter and binding scan run over the columnar store — a
-  // sequential sweep of two flat columns.
-  for (size_t f = unit.delta_begin; f < unit.delta_end; ++f) {
+  // Anchor one body atom at each fact of this unit's delta chunk. Only
+  // facts of the anchor's predicate can bind it, so the walk covers that
+  // predicate's (ascending) postings inside the chunk — the same facts,
+  // in the same order, as a sweep of the whole chunk would bind.
+  const std::vector<uint32_t>& facts = instance.FactsWithPredicate(
+      tgds[unit.tgd_index].body()[unit.anchor].predicate());
+  for (auto it = std::lower_bound(facts.begin(), facts.end(),
+                                  unit.delta_begin);
+       it != facts.end() && *it < unit.delta_end; ++it) {
     if (governor->Tripped()) return;
-    RunChaseDiscoveryAtFact(unit.tgd_index, unit.anchor, f, tgds, instance,
+    RunChaseDiscoveryAtFact(unit.tgd_index, unit.anchor, *it, tgds, instance,
                             governor, out);
   }
 }
@@ -641,9 +651,8 @@ ChaseResult ResumeChaseFromState(const ChaseCheckpointState& state,
 
 Instance ChaseResult::UpToLevel(int level) const {
   Instance out;
-  for (const Atom& atom : instance.atoms()) {
-    auto it = levels.find(atom);
-    if (it != levels.end() && it->second <= level) out.Insert(atom);
+  for (size_t i = 0; i < levels.size(); ++i) {
+    if (levels[i] <= level) out.Insert(instance.atom(i));
   }
   return out;
 }

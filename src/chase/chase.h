@@ -2,7 +2,6 @@
 #define GQE_CHASE_CHASE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -243,8 +242,10 @@ struct ChaseRoundStats {
 struct ChaseResult {
   Instance instance;
 
-  /// Lemma A.1 s-level of every fact (level-wise chase sequence).
-  std::unordered_map<Atom, int, AtomHash> levels;
+  /// Lemma A.1 s-level of every fact (level-wise chase sequence),
+  /// parallel to `instance.atoms()`: levels[i] is the level of fact i.
+  /// Look a fact's level up as levels[instance.Find(atom)].
+  std::vector<int32_t> levels;
 
   /// True iff a fixpoint was reached: no unfired applicable trigger
   /// remains, hence instance |= Σ.
@@ -280,7 +281,8 @@ struct ChaseResult {
   /// snapshot.
   DerivationWitness derivation;
 
-  /// chase^l: the sub-instance of facts with level <= l.
+  /// chase^l: the sub-instance of facts with level <= l, in the
+  /// instance's insertion order (a walk over `levels` by fact index).
   Instance UpToLevel(int level) const;
 };
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "base/atom.h"
+#include "base/fact_store.h"
 #include "base/instance.h"
 #include "base/interner.h"
 #include "base/schema.h"
@@ -183,6 +186,54 @@ TEST_F(InstanceTest, InducedSchema) {
   Schema schema = db_.InducedSchema();
   EXPECT_EQ(schema.size(), 2u);
   EXPECT_EQ(schema.MaxArity(), 2);
+}
+
+TEST_F(InstanceTest, MoveInsertOfDuplicateLeavesArgumentIntact) {
+  Atom dup = Atom::Make("IEdge", {a_, b_});
+  EXPECT_FALSE(db_.Insert(std::move(dup)));
+  // A rejected duplicate is never moved from.
+  EXPECT_EQ(dup, Atom::Make("IEdge", {a_, b_}));
+  EXPECT_EQ(db_.size(), 3u);
+}
+
+TEST_F(InstanceTest, MoveInsertIndexesLikeCopyInsert) {
+  const Term d = Term::Constant("id");
+  const std::vector<Atom> facts = {
+      Atom::Make("IEdge", {c_, d}), Atom::Make("IEdge", {d, d}),
+      Atom::Make("ILabel", {d}), Atom::Make("IEdge", {a_, b_}),
+      Atom::Make("ITri", {d, a_, d})};
+  Instance copied = db_;
+  Instance moved = db_;
+  for (const Atom& fact : facts) {
+    Atom scratch = fact;
+    EXPECT_EQ(copied.Insert(fact), moved.Insert(std::move(scratch)));
+  }
+  ASSERT_EQ(moved.size(), copied.size());
+  for (size_t i = 0; i < copied.size(); ++i) {
+    EXPECT_EQ(moved.atom(i), copied.atom(i)) << "fact " << i;
+  }
+  EXPECT_EQ(moved.ActiveDomain(), copied.ActiveDomain());
+  for (Term t : copied.ActiveDomain()) {
+    EXPECT_EQ(moved.FactsMentioning(t), copied.FactsMentioning(t));
+  }
+  for (const Atom& fact : copied.atoms()) {
+    for (int pos = 0; pos < fact.arity(); ++pos) {
+      const Term t = fact.args()[pos];
+      EXPECT_EQ(moved.FactsWith(fact.predicate(), pos, t),
+                copied.FactsWith(fact.predicate(), pos, t));
+    }
+  }
+  const FactStore& got = moved.store();
+  const FactStore& want = copied.store();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.term_column(), want.term_column());
+  for (uint32_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.predicate(i), want.predicate(i));
+    EXPECT_EQ(got.hash(i), want.hash(i));
+    EXPECT_EQ(got.Find(want.predicate(i), want.args(i).data(),
+                       want.arity(i)),
+              static_cast<int64_t>(i));
+  }
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "chase/chase.h"
 #include "query/evaluation.h"
 #include "query/homomorphism.h"
@@ -61,9 +66,15 @@ TEST(ChaseTest, LevelsFollowLemmaA1) {
   db.Insert(Atom::Make("CA", {C("lv")}));
   ChaseResult result = Chase(db, sigma);
   EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.levels.at(Atom::Make("CA", {C("lv")})), 0);
-  EXPECT_EQ(result.levels.at(Atom::Make("CB", {C("lv")})), 1);
-  EXPECT_EQ(result.levels.at(Atom::Make("CC", {C("lv")})), 2);
+  ASSERT_EQ(result.levels.size(), result.instance.size());
+  auto level_of = [&](const Atom& fact) {
+    const int64_t index = result.instance.Find(fact);
+    EXPECT_GE(index, 0) << fact;
+    return index < 0 ? -1 : result.levels[index];
+  };
+  EXPECT_EQ(level_of(Atom::Make("CA", {C("lv")})), 0);
+  EXPECT_EQ(level_of(Atom::Make("CB", {C("lv")})), 1);
+  EXPECT_EQ(level_of(Atom::Make("CC", {C("lv")})), 2);
   Instance level1 = result.UpToLevel(1);
   EXPECT_EQ(level1.size(), 2u);
   EXPECT_FALSE(level1.Contains(Atom::Make("CC", {C("lv")})));
@@ -189,6 +200,115 @@ TEST(ChaseTest, ChaseAnswersCertainly) {
   auto answers = EvaluateCQ(q, chase.instance);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0][0], C("gina"));
+}
+
+/// Transitive closure plus one existential rule whose nulls feed a
+/// third, multi-level rule: recursion, labelled nulls and carried
+/// triggers are all in play. The nulls are named by their trigger's
+/// frontier through CNl(X, Y, W).
+TgdSet NaiveSigma() {
+  return {Tgd({Atom::Make("CNe", {V("X"), V("Y")}),
+               Atom::Make("CNe", {V("Y"), V("Z")})},
+              {Atom::Make("CNe", {V("X"), V("Z")})}),
+          Tgd({Atom::Make("CNe", {V("X"), V("Y")})},
+              {Atom::Make("CNl", {V("X"), V("Y"), V("W")})}),
+          Tgd({Atom::Make("CNl", {V("X"), V("Y"), V("W")}),
+               Atom::Make("CNe", {V("Y"), V("Z")})},
+              {Atom::Make("CNr", {V("W"), V("Z")})})};
+}
+
+Instance NaiveDb() {
+  Instance db;
+  for (int i = 0; i < 5; ++i) {
+    db.Insert(Atom::Make("CNe", {Term::Constant("cn" + std::to_string(i)),
+                                 Term::Constant("cn" + std::to_string(i + 1))}));
+  }
+  return db;
+}
+
+struct RecordingSink : ChaseCheckpointSink {
+  std::vector<ChaseCheckpointState> states;
+  void Write(const ChaseCheckpointState& state, bool) override {
+    states.push_back(state);
+  }
+};
+
+TEST(ChaseTest, NaiveMatchesSemiNaive) {
+  const TgdSet sigma = NaiveSigma();
+  const Instance db = NaiveDb();
+  // The budget only bounds a broken engine: the chase has 50 facts.
+  ChaseOptions semi_options;
+  semi_options.budget.max_facts = 1000;
+  ChaseOptions naive_options = semi_options;
+  naive_options.semi_naive = false;
+  const ChaseResult semi = Chase(db, sigma, semi_options);
+  const ChaseResult naive = Chase(db, sigma, naive_options);
+  ASSERT_TRUE(semi.complete);
+  EXPECT_EQ(naive.complete, semi.complete);
+  ASSERT_EQ(naive.levels.size(), naive.instance.size());
+  ASSERT_EQ(naive.instance.size(), semi.instance.size());
+
+  // The two engines may draw nulls in different orders; CNl(X, Y, W)
+  // names each null by its trigger, which gives the renaming.
+  const PredicateId nl = predicates::Lookup("CNl");
+  std::map<std::pair<uint32_t, uint32_t>, Term> semi_null;
+  for (uint32_t i : semi.instance.FactsWithPredicate(nl)) {
+    const auto& args = semi.instance.atom(i).args();
+    semi_null[{args[0].bits(), args[1].bits()}] = args[2];
+  }
+  std::map<uint32_t, Term> rename;
+  for (uint32_t i : naive.instance.FactsWithPredicate(nl)) {
+    const auto& args = naive.instance.atom(i).args();
+    auto it = semi_null.find({args[0].bits(), args[1].bits()});
+    ASSERT_NE(it, semi_null.end());
+    rename[args[2].bits()] = it->second;
+  }
+  ASSERT_EQ(rename.size(), semi_null.size());
+  for (size_t i = 0; i < naive.instance.size(); ++i) {
+    Atom fact = naive.instance.atom(i);
+    for (Term& t : fact.mutable_args()) {
+      if (t.IsNull()) t = rename.at(t.bits());
+    }
+    const int64_t index = semi.instance.Find(fact);
+    ASSERT_GE(index, 0) << fact;
+    EXPECT_EQ(naive.levels[i], semi.levels[index]) << fact;
+  }
+}
+
+TEST(ChaseTest, NaiveResumeFromMidRunMatchesUninterrupted) {
+  const TgdSet sigma = NaiveSigma();
+  const Instance db = NaiveDb();
+  const uint32_t null_base = Term::NextNullId();
+  ChaseOptions options;
+  options.semi_naive = false;
+  options.budget.max_facts = 1000;
+  RecordingSink sink;
+  ChaseOptions tracked = options;
+  tracked.checkpoint_sink = &sink;
+
+  Term::SetNextNullId(null_base);
+  const ChaseResult reference = Chase(db, sigma, options);
+  Term::SetNextNullId(null_base);
+  const ChaseResult traced = Chase(db, sigma, tracked);
+  ASSERT_TRUE(reference.complete);
+  ASSERT_GE(sink.states.size(), 3u);
+  ASSERT_TRUE(traced.instance.SetEquals(reference.instance));
+
+  const ChaseCheckpointState& mid = sink.states[sink.states.size() / 2];
+  ASSERT_FALSE(mid.complete);
+  ASSERT_GT(mid.rounds_completed, 0u);
+  Term::SetNextNullId(null_base + 1000);
+  const ChaseResult resumed = ResumeChaseFromState(mid, sigma, options);
+  ASSERT_EQ(resumed.instance.size(), reference.instance.size());
+  for (size_t i = 0; i < reference.instance.size(); ++i) {
+    ASSERT_EQ(resumed.instance.atom(i), reference.instance.atom(i))
+        << "fact " << i;
+  }
+  EXPECT_EQ(resumed.levels.size(), resumed.instance.size());
+  EXPECT_EQ(resumed.levels, reference.levels);
+  EXPECT_EQ(resumed.complete, reference.complete);
+  EXPECT_EQ(resumed.rounds_completed, reference.rounds_completed);
+  Term::SetNextNullId(null_base);
 }
 
 }  // namespace

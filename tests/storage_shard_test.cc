@@ -75,6 +75,7 @@ void ExpectBitIdentical(const ChaseResult& got, const ChaseResult& want,
     ASSERT_EQ(got.instance.atom(i), want.instance.atom(i))
         << label << " fact " << i;
   }
+  EXPECT_EQ(got.levels.size(), got.instance.size()) << label;
   EXPECT_EQ(got.levels, want.levels) << label;
   EXPECT_EQ(got.complete, want.complete) << label;
   EXPECT_EQ(got.max_level_built, want.max_level_built) << label;

@@ -1,11 +1,7 @@
 // E3 (Proposition 3.1 + chase engine): chase throughput and the identity
 // Q(D) = q(chase(D, Σ)). google-benchmark series over growing databases
-// and rule sets, then a verification table and a thread-scaling table
-// for the parallel trigger-discovery engine.
+// and rule sets, then a verification table.
 //
-// --threads=N sets ChaseOptions::threads for the benchmark series
-// (1 sequential, 0 hardware concurrency); the thread-scaling summary
-// always sweeps {1, 2, 4, 8} and cross-checks bit-identical output.
 // --deadline-ms=X / --budget-facts=N run every chase under that budget;
 // a watchdog table then reports timeout-vs-complete per configuration.
 //
@@ -36,7 +32,6 @@
 namespace gqe {
 namespace {
 
-int g_threads = 1;
 ExecutionBudget g_budget;
 BenchWatchdog g_watchdog;
 CheckpointFlags g_checkpoint;
@@ -72,7 +67,6 @@ void BM_ChaseTransitiveClosure(benchmark::State& state) {
   }
   TgdSet sigma = TransitiveClosure();
   ChaseOptions options;
-  options.threads = g_threads;
   options.budget = g_budget;
   for (auto _ : state) {
     ChaseResult result = Chase(db, sigma, options);
@@ -87,7 +81,6 @@ void BM_ChaseGuardedExistential(benchmark::State& state) {
   Instance db = UniversityDatabase(n);
   TgdSet sigma = UniversityOntology();
   ChaseOptions options;
-  options.threads = g_threads;
   options.budget = g_budget;
   for (auto _ : state) {
     ChaseResult result = Chase(db, sigma, options);
@@ -121,76 +114,6 @@ void PrintSummary() {
   table.Print("E3 / Prop 3.1: Q(D) = q(chase(D, Sigma))");
 }
 
-void PrintThreadScaling() {
-  // Thread scaling of the parallel trigger-discovery engine: the largest
-  // university-workload configuration plus a join-heavy transitive
-  // closure. Every row re-runs the identical chase (null counter reset),
-  // so "identical" asserts the bit-identical-output guarantee, and
-  // discovery/merge columns expose the parallel vs sequential split.
-  struct Workload {
-    const char* name;
-    Instance db;
-    TgdSet sigma;
-  };
-  std::vector<Workload> workloads;
-  workloads.push_back({"university n=4096", UniversityDatabase(4096),
-                       UniversityOntology()});
-  Instance tc_db;
-  const int tc_n = 48;
-  for (int i = 0; i < tc_n; ++i) {
-    tc_db.Insert(Atom::Make("e3e",
-                            {Term::Constant("a" + std::to_string(i)),
-                             Term::Constant("a" + std::to_string(i + 1))}));
-  }
-  workloads.push_back({"transitive closure n=48", std::move(tc_db),
-                       TransitiveClosure()});
-
-  ReportTable table({"workload", "threads", "chase ms", "speedup",
-                     "discovery ms", "merge ms", "identical"});
-  for (Workload& w : workloads) {
-    const uint32_t null_base = Term::NextNullId();
-    double base_ms = 0.0;
-    ChaseResult reference;
-    for (int threads : {1, 2, 4, 8}) {
-      Term::SetNextNullId(null_base);
-      ChaseOptions options;
-      options.threads = threads;
-      options.budget = g_budget;
-      Stopwatch watch;
-      ChaseResult result = Chase(w.db, w.sigma, options);
-      const double ms = watch.ElapsedMs();
-      g_watchdog.Record(std::string(w.name) + " threads=" +
-                            std::to_string(threads),
-                        result.outcome);
-      double discovery_ms = 0.0;
-      double merge_ms = 0.0;
-      for (const ChaseRoundStats& round : result.round_stats) {
-        discovery_ms += round.discovery_ms;
-        merge_ms += round.merge_ms;
-      }
-      bool identical = true;
-      if (threads == 1) {
-        base_ms = ms;
-        reference = std::move(result);
-      } else {
-        identical = result.instance.size() == reference.instance.size() &&
-                    result.triggers_fired == reference.triggers_fired &&
-                    result.levels == reference.levels;
-        for (size_t i = 0; identical && i < result.instance.size(); ++i) {
-          identical = result.instance.atom(i) == reference.instance.atom(i);
-        }
-      }
-      table.AddRow({w.name, ReportTable::Cell(threads),
-                    ReportTable::Cell(ms),
-                    ReportTable::Cell(ms > 0 ? base_ms / ms : 0.0),
-                    ReportTable::Cell(discovery_ms),
-                    ReportTable::Cell(merge_ms),
-                    ReportTable::Cell(identical)});
-    }
-  }
-  table.Print("E3b: chase thread scaling (deterministic parallel discovery)");
-}
-
 /// Machine-readable quick tier (--json): a fixed set of chase
 /// configurations timed with the process stopwatch, written as
 /// BENCH_chase.json (ns/op, facts/sec, peak RSS). Keys are stable across
@@ -202,7 +125,6 @@ int RunJsonBench() {
     std::string key;
     Instance db;
     TgdSet sigma;
-    int threads;
   };
   std::vector<Config> configs;
   auto tc_db = [](int n) {
@@ -214,18 +136,14 @@ int RunJsonBench() {
     }
     return db;
   };
-  configs.push_back({"chase_tc/32", tc_db(32), TransitiveClosure(), 1});
-  configs.push_back({"chase_tc/48", tc_db(48), TransitiveClosure(), 1});
-  configs.push_back({"chase_tc/48/t8", tc_db(48), TransitiveClosure(), 8});
+  configs.push_back({"chase_tc/32", tc_db(32), TransitiveClosure()});
+  configs.push_back({"chase_tc/48", tc_db(48), TransitiveClosure()});
   configs.push_back(
-      {"chase_univ/256", UniversityDatabase(256), UniversityOntology(), 1});
-  configs.push_back({"chase_univ/4096", UniversityDatabase(4096),
-                     UniversityOntology(), 1});
-  configs.push_back({"chase_univ/4096/t8", UniversityDatabase(4096),
-                     UniversityOntology(), 8});
+      {"chase_univ/256", UniversityDatabase(256), UniversityOntology()});
+  configs.push_back(
+      {"chase_univ/4096", UniversityDatabase(4096), UniversityOntology()});
   for (Config& config : configs) {
     ChaseOptions options;
-    options.threads = config.threads;
     options.budget = g_budget;
     const uint32_t null_base = Term::NextNullId();
     // Warm-up run (also yields the output size for facts/sec).
@@ -286,7 +204,6 @@ int RunDurableChase() {
   }
   TgdSet sigma = TransitiveClosure();
   ChaseOptions options;
-  options.threads = g_threads;
   options.budget = g_budget;
   options.checkpoint_every = g_checkpoint.every;
 
@@ -297,9 +214,8 @@ int RunDurableChase() {
   g_watchdog.Record("durable chase n=" + std::to_string(g_durable_n),
                     result.outcome);
 
-  std::printf("durable chase: dir=%s every=%d n=%d threads=%zu\n",
-              g_checkpoint.dir.c_str(), g_checkpoint.every, g_durable_n,
-              result.threads_used);
+  std::printf("durable chase: dir=%s every=%d n=%d\n",
+              g_checkpoint.dir.c_str(), g_checkpoint.every, g_durable_n);
   std::printf("resume: resumed=%s generation=%llu skipped=%d (%s)\n",
               info.resumed ? "yes" : "no",
               static_cast<unsigned long long>(info.generation),
@@ -326,7 +242,6 @@ int RunDurableChase() {
 }  // namespace gqe
 
 int main(int argc, char** argv) {
-  gqe::g_threads = gqe::ParseThreadsFlag(&argc, argv, 1);
   gqe::g_budget = gqe::ParseBudgetFlags(&argc, argv);
   gqe::g_checkpoint = gqe::ParseCheckpointFlags(&argc, argv);
   gqe::g_json = gqe::ParseBenchJsonFlags(&argc, argv);
@@ -342,7 +257,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   gqe::PrintSummary();
-  gqe::PrintThreadScaling();
   gqe::g_watchdog.Print("E3 watchdog: timeout vs complete");
   return 0;
 }

@@ -1,12 +1,6 @@
-// Ablation: chase engine — semi-naive (delta-anchored trigger discovery)
-// vs naive (full rediscovery per round), oblivious vs restricted, and
-// sequential vs parallel trigger discovery. Both discovery modes compute
-// the identical instance; the series shows the quadratic rediscovery
-// cost the delta frontier removes.
-//
-// --threads=N applies to every chase in the semi-naive/naive and
-// oblivious/restricted tables; the parallel table sweeps thread counts
-// itself.
+// Ablation: chase engine — oblivious vs restricted chase on a workload
+// whose heads are often already satisfied. The restricted chase skips
+// those triggers; the table shows the facts and time it saves.
 
 #include <cstdio>
 
@@ -18,60 +12,7 @@
 namespace gqe {
 namespace {
 
-int g_threads = 1;
-
 void Run() {
-  TgdSet closure = ParseTgds("abe(X, Y), abe(Y, Z) -> abe(X, Z).");
-  ReportTable table({"workload", "|D|", "chase facts", "semi-naive ms",
-                     "naive ms", "identical"});
-  for (int n : {12, 24, 48}) {
-    Instance db;
-    for (int i = 0; i < n; ++i) {
-      db.Insert(Atom::Make("abe",
-                           {Term::Constant("a" + std::to_string(i)),
-                            Term::Constant("a" + std::to_string(i + 1))}));
-    }
-    ChaseOptions semi;
-    semi.threads = g_threads;
-    ChaseOptions naive = semi;
-    naive.semi_naive = false;
-    Stopwatch w1;
-    ChaseResult r_semi = Chase(db, closure, semi);
-    double semi_ms = w1.ElapsedMs();
-    Stopwatch w2;
-    ChaseResult r_naive = Chase(db, closure, naive);
-    double naive_ms = w2.ElapsedMs();
-    table.AddRow({"transitive closure", ReportTable::Cell(db.size()),
-                  ReportTable::Cell(r_semi.instance.size()),
-                  ReportTable::Cell(semi_ms), ReportTable::Cell(naive_ms),
-                  ReportTable::Cell(
-                      r_semi.instance.SetEquals(r_naive.instance))});
-  }
-  // Deep-chase workload: one trigger per level, so rounds ~= facts and
-  // naive rediscovery is quadratic.
-  TgdSet deep = ParseTgds("abr(X, Y) -> abr(Y, Z).");
-  for (size_t budget : {400, 1200}) {
-    Instance db = ParseDatabase("abr(s0, s1).");
-    ChaseOptions semi;
-    semi.threads = g_threads;
-    semi.budget.max_facts = budget;
-    ChaseOptions naive = semi;
-    naive.semi_naive = false;
-    Stopwatch w1;
-    ChaseResult r_semi = Chase(db, deep, semi);
-    double semi_ms = w1.ElapsedMs();
-    Stopwatch w2;
-    ChaseResult r_naive = Chase(db, deep, naive);
-    double naive_ms = w2.ElapsedMs();
-    table.AddRow({"deep chain (budgeted)", ReportTable::Cell(db.size()),
-                  ReportTable::Cell(r_semi.instance.size()),
-                  ReportTable::Cell(semi_ms), ReportTable::Cell(naive_ms),
-                  ReportTable::Cell(r_semi.instance.size() ==
-                                    r_naive.instance.size())});
-  }
-  table.Print("Ablation: semi-naive vs naive trigger discovery");
-
-  // Oblivious vs restricted on a head-satisfied workload.
   TgdSet sigma = ParseTgds("abp(X) -> abq(X, Y).");
   ReportTable modes({"|D|", "oblivious facts", "restricted facts",
                      "oblivious ms", "restricted ms"});
@@ -85,7 +26,6 @@ void Run() {
       }
     }
     ChaseOptions oblivious;
-    oblivious.threads = g_threads;
     ChaseOptions restricted = oblivious;
     restricted.restricted = true;
     Stopwatch w1;
@@ -101,47 +41,12 @@ void Run() {
   }
   modes.Print("Ablation: oblivious vs restricted chase (restricted skips "
               "satisfied heads)");
-
-  // Sequential vs parallel trigger discovery on the join-heavy closure
-  // workload — parallel must reproduce the sequential instance exactly.
-  ReportTable par({"|D|", "threads", "chase ms", "speedup", "identical"});
-  for (int n : {24, 48}) {
-    Instance db;
-    for (int i = 0; i < n; ++i) {
-      db.Insert(Atom::Make("abe",
-                           {Term::Constant("a" + std::to_string(i)),
-                            Term::Constant("a" + std::to_string(i + 1))}));
-    }
-    double base_ms = 0.0;
-    ChaseResult reference;
-    for (int threads : {1, 2, 4}) {
-      ChaseOptions options;
-      options.threads = threads;
-      Stopwatch w;
-      ChaseResult r = Chase(db, closure, options);
-      double ms = w.ElapsedMs();
-      bool identical = true;
-      if (threads == 1) {
-        base_ms = ms;
-        reference = std::move(r);
-      } else {
-        identical = r.instance.SetEquals(reference.instance) &&
-                    r.triggers_fired == reference.triggers_fired;
-      }
-      par.AddRow({ReportTable::Cell(db.size()), ReportTable::Cell(threads),
-                  ReportTable::Cell(ms),
-                  ReportTable::Cell(ms > 0 ? base_ms / ms : 0.0),
-                  ReportTable::Cell(identical)});
-    }
-  }
-  par.Print("Ablation: sequential vs parallel trigger discovery");
 }
 
 }  // namespace
 }  // namespace gqe
 
-int main(int argc, char** argv) {
-  gqe::g_threads = gqe::ParseThreadsFlag(&argc, argv, 1);
+int main() {
   gqe::Run();
   return 0;
 }

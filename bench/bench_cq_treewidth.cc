@@ -19,8 +19,6 @@
 namespace gqe {
 namespace {
 
-int g_threads = 1;
-
 void BM_PathQueryTreeDp(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   Instance db = GridDatabase("e1h", "e1v", side, side);
@@ -36,10 +34,8 @@ void BM_PathQueryBacktracking(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   Instance db = GridDatabase("e1h", "e1v", side, side);
   CQ query = PathQuery("e1h", 4);
-  HomOptions options;
-  options.threads = g_threads;
   for (auto _ : state) {
-    HomomorphismSearch search(query.atoms(), db, options);
+    HomomorphismSearch search(query.atoms(), db);
     benchmark::DoNotOptimize(search.Exists());
   }
   state.counters["facts"] = static_cast<double>(db.size());
@@ -82,51 +78,12 @@ void PrintSummary() {
   table.Print("E1 / Prop 2.1: CQ_k evaluation scales polynomially in ||D||");
 }
 
-void PrintHomThreadScaling() {
-  // Parallel homomorphism enumeration: split the root candidate set of a
-  // join-heavy grid query across workers and FindAll every embedding.
-  // The result list must match the sequential order exactly.
-  const int side = 24;
-  Instance db = GridDatabase("e1h", "e1v", side, side);
-  CQ query = GridQuery("e1h", "e1v", 2, 3);
-  ReportTable table({"query", "threads", "FindAll ms", "speedup",
-                     "embeddings", "identical"});
-  double base_ms = 0.0;
-  std::vector<Substitution> reference;
-  for (int threads : {1, 2, 4, 8}) {
-    HomOptions options;
-    options.threads = threads;
-    HomomorphismSearch search(query.atoms(), db, options);
-    Stopwatch w;
-    std::vector<Substitution> all = search.FindAll();
-    double ms = w.ElapsedMs();
-    bool identical = true;
-    if (threads == 1) {
-      base_ms = ms;
-      reference = std::move(all);
-    } else {
-      identical = all.size() == reference.size();
-      for (size_t i = 0; identical && i < all.size(); ++i) {
-        identical = all[i].SameMapping(reference[i]);
-      }
-    }
-    table.AddRow({"grid-2x3", ReportTable::Cell(threads),
-                  ReportTable::Cell(ms),
-                  ReportTable::Cell(ms > 0 ? base_ms / ms : 0.0),
-                  ReportTable::Cell(reference.size()),
-                  ReportTable::Cell(identical)});
-  }
-  table.Print("E1b: parallel homomorphism enumeration (HomOptions::threads)");
-}
-
 }  // namespace
 }  // namespace gqe
 
 int main(int argc, char** argv) {
-  gqe::g_threads = gqe::ParseThreadsFlag(&argc, argv, 1);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   gqe::PrintSummary();
-  gqe::PrintHomThreadScaling();
   return 0;
 }

@@ -33,8 +33,8 @@ trap cleanup EXIT INT TERM HUP
 
 run_final_line() {
   # Prints only the diffable `final: ...` line of a durable run.
-  "$BENCH" --checkpoint-dir "$1" --checkpoint-every 1 --durable-n "$N" \
-    --threads 2 | grep '^final:'
+  "$BENCH" --checkpoint-dir "$1" --checkpoint-every 1 --durable-n "$N" |
+    grep '^final:'
 }
 
 echo "== reference: uninterrupted run =="
@@ -47,7 +47,7 @@ KILL_DIR="$WORK/killed"
 # Background the binary directly (not a compound command) so $! is the
 # bench PID and the kill actually lands on it.
 "$BENCH" --checkpoint-dir "$KILL_DIR" --checkpoint-every 1 --durable-n "$N" \
-  --threads 2 >"$WORK/killed.log" 2>&1 &
+  >"$WORK/killed.log" 2>&1 &
 BENCH_PID=$!
 # Wait until at least one snapshot generation exists, then kill hard.
 for _ in $(seq 1 100); do
@@ -66,7 +66,7 @@ ls "$KILL_DIR"
 
 echo "== resume from disk =="
 RESUME_OUT="$("$BENCH" --checkpoint-dir "$KILL_DIR" --checkpoint-every 1 \
-  --durable-n "$N" --threads 2)"
+  --durable-n "$N")"
 echo "$RESUME_OUT" | grep '^resume:'
 RESUME_LINE="$(echo "$RESUME_OUT" | grep '^final:')"
 echo "$RESUME_LINE"
@@ -85,7 +85,7 @@ NEWEST="$(ls "$KILL_DIR"/chase-*.snap | sort -t- -k2 -n | tail -1)"
 SIZE="$(stat -c%s "$NEWEST")"
 printf '\xff' | dd of="$NEWEST" bs=1 seek=$((SIZE / 2)) conv=notrunc 2>/dev/null
 CORRUPT_OUT="$("$BENCH" --checkpoint-dir "$KILL_DIR" --checkpoint-every 1 \
-  --durable-n "$N" --threads 2)"
+  --durable-n "$N")"
 echo "$CORRUPT_OUT" | grep '^resume:'
 CORRUPT_LINE="$(echo "$CORRUPT_OUT" | grep '^final:')"
 if ! echo "$CORRUPT_OUT" | grep '^resume:' | grep -q 'skipped=[1-9]'; then
@@ -105,7 +105,7 @@ GOLDEN_SNAP="$GOLDEN_DIR/durable_chase_n64.snap"
 if [ -f "$GOLDEN_FINAL" ] && [ -f "$GOLDEN_SNAP" ]; then
   GOLD_RUN="$WORK/golden"
   GOLD_LINE="$("$BENCH" --checkpoint-dir "$GOLD_RUN" --checkpoint-every 1 \
-    --durable-n 64 --threads 2 | grep '^final:')"
+    --durable-n 64 | grep '^final:')"
   EXPECT_LINE="$(cat "$GOLDEN_FINAL")"
   if [ "$GOLD_LINE" != "$EXPECT_LINE" ]; then
     echo "FAIL: final line drifted from the recorded golden"

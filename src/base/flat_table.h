@@ -57,7 +57,7 @@ inline uint64_t MatchByte(uint64_t word, uint8_t byte) {
 ///
 /// Iteration order is a deterministic function of the insertion/erase
 /// sequence and the hash function — no pointer hashing, no per-process
-/// seed — so two runs (at any thread count) that perform the same
+/// seed — so two runs (in any process) that perform the same
 /// operations observe the same order. It is NOT insertion order: callers
 /// that need a canonical order keep a side vector or sort (the existing
 /// sort-before-merge points in chase/ and serialize/ stay load-bearing).

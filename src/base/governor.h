@@ -100,7 +100,7 @@ struct ExecutionBudget {
 /// governor's global checkpoint counter reaches `at_checkpoint`.
 /// Checkpoint counts are deterministic for a fixed workload (each engine
 /// charges a fixed amount of work per checkpoint), so the trip lands at
-/// the same logical point at every thread count.
+/// the same logical point on every run.
 class TestFaultInjector {
  public:
   TestFaultInjector(Status status, uint64_t at_checkpoint)
@@ -155,9 +155,9 @@ class Governor {
 
   /// How many search nodes a searcher should accumulate locally before
   /// calling ChargeNodes. Under a fault injector this is 1, so checkpoint
-  /// counts equal node counts and are identical at every thread count
-  /// (the injected trip lands at the same logical point); otherwise
-  /// kNodeBatch keeps the shared counters out of the hot loop.
+  /// counts equal node counts (the injected trip lands at the same
+  /// logical point on every run); otherwise kNodeBatch keeps the shared
+  /// counters out of the hot loop.
   uint64_t NodeChargeBatch() const { return injector_ != nullptr ? 1 : kNodeBatch; }
 
   static constexpr uint64_t kNodeBatch = 64;

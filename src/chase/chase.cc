@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "base/flat_table.h"
-#include "base/thread_pool.h"
 #include "chase/trigger_set.h"
 #include "query/homomorphism.h"
 #include "query/substitution.h"
@@ -71,6 +70,15 @@ void BuildDerivationWitness(const std::vector<std::vector<uint32_t>>& keys,
   witness.instance_crc = exact ? InstanceTextCrc(result->instance) : 0;
 }
 
+/// An anchored (TGD, body atom) pair's delta is split into this many
+/// discovery units, each of at least kMinDiscoveryChunk facts. The local
+/// engine runs the units back to back, so the split does not change what
+/// it derives; it is kept fixed because the storage-shard coordinator
+/// ships these unit boundaries to its workers in every discover command,
+/// so changing either constant changes the sharded chase's wire traffic.
+constexpr size_t kDiscoveryChunksPerDelta = 4;
+constexpr size_t kMinDiscoveryChunk = 64;
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -86,10 +94,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
   GovernorScope scope(options.governor, options.budget);
   Governor* governor = scope.get();
 
-  const size_t threads = ThreadPool::ResolveThreads(options.threads);
-  result.threads_used = threads;
-  ThreadPool pool(threads);
-
   // Derivation-witness collection (oblivious chase only: the restricted
   // chase's skipped triggers have no replayable step semantics). The
   // null-draw log runs parallel to the fired-key log below.
@@ -98,8 +102,7 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
 
   // Every trigger key the run has seen: fired ones and the discovered
   // but not yet fired ones (pending or carried). A candidate is new iff
-  // its key is absent. Keys stay once entered, except that naive mode
-  // resets the set to the fired keys at each round start.
+  // its key is absent. Keys stay once entered.
   TriggerKeySet seen;
   std::vector<uint32_t> key;  // reused key buffer
   std::vector<std::vector<Term>> body_vars(tgds.size());
@@ -196,9 +199,8 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
           ? 1
           : static_cast<uint64_t>(options.checkpoint_every);
   ChaseCheckpointState boundary;
-  // Fired keys in firing order (tracking, witness collection, or naive
-  // mode, which rebuilds `seen` from it every round) and, when
-  // collecting, the parallel per-step null draws.
+  // Fired keys in firing order (tracking or witness collection) and,
+  // when collecting, the parallel per-step null draws.
   std::vector<std::vector<uint32_t>> fired_log;
   std::vector<std::vector<uint32_t>> null_log;
   // Generation already delivered to the sink (the resumed-from state is
@@ -218,7 +220,7 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     }
     if (tracking) boundary = *resume;
   }
-  const bool logging = tracking || collecting || !options.semi_naive;
+  const bool logging = tracking || collecting;
   if (resume != nullptr && logging) fired_log = resume->fired;
   auto sync_boundary = [&]() {
     for (size_t i = boundary.atoms.size(); i < result.instance.size(); ++i) {
@@ -276,15 +278,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       final_checkpoint();
       break;
     }
-    if (!options.semi_naive) {
-      // Naive mode: rediscover everything each round; only fired keys
-      // stay seen.
-      carried.clear();
-      seen.clear();
-      seen.reserve(fired_log.size());
-      for (const auto& fired_key : fired_log) seen.insert(fired_key);
-      delta_start = 0;
-    }
     std::vector<PendingTrigger> pending = std::move(carried);
     carried.clear();
     std::vector<Term> image_scratch;
@@ -307,14 +300,13 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     };
     const size_t delta_end = result.instance.size();
 
-    // Discovery units in the order the sequential loop visits them. Large
-    // deltas are chunked so a round with few TGDs still spreads across
-    // the pool; chunk boundaries never affect the merge order (chunks of
-    // one TGD × anchor pair are merged in ascending fact order).
+    // Discovery units in the order the discovery loop visits them. Chunk
+    // boundaries never affect the merge order (chunks of one TGD × anchor
+    // pair are merged in ascending fact order).
     const size_t delta_size = delta_end - delta_start;
-    const size_t chunk =
-        std::max<size_t>(64, (delta_size + 4 * threads - 1) /
-                                 std::max<size_t>(1, 4 * threads));
+    const size_t chunk = std::max(
+        kMinDiscoveryChunk,
+        (delta_size + kDiscoveryChunksPerDelta - 1) / kDiscoveryChunksPerDelta);
     std::vector<ChaseDiscoveryUnit> units;
     for (size_t t = 0; t < tgds.size(); ++t) {
       if (delta_start == 0) {
@@ -332,13 +324,12 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     }
 
     ChaseRoundStats stats;
-    stats.work_units = units.size();
     auto discovery_start = std::chrono::steady_clock::now();
-    // Workers only read the (frozen) instance and write their own unit
-    // buffer; all shared-state updates happen in the merge below.
+    // Discovery only reads the (frozen) instance and writes per-unit
+    // buffers; all state updates happen in the merge below.
 #ifndef NDEBUG
-    // Discovery workers hold spans into the columnar Term column; any
-    // insert or index rehash while they run would dangle those spans.
+    // Discovery holds spans into the columnar Term column; any insert or
+    // index rehash while it runs would dangle those spans.
     const size_t frozen_facts = result.instance.size();
     const uint64_t frozen_rehashes = result.instance.IndexRehashes();
 #endif
@@ -365,31 +356,23 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         found.assign(units.size(), {});
       }
       found.resize(units.size());
-    } else if (delta_start == 0) {
-      // First round: one full-pass unit per TGD, each internally
-      // parallelized through the homomorphism engine (keeps the pool
-      // saturated even for single-rule programs).
-      for (size_t u = 0; u < units.size(); ++u) {
-        RunChaseDiscoveryUnit(units[u], tgds, result.instance,
-                              static_cast<int>(threads), governor, &found[u]);
-      }
     } else {
-      pool.ParallelFor(units.size(), [&](size_t u) {
-        RunChaseDiscoveryUnit(units[u], tgds, result.instance,
-                              /*hom_threads=*/1, governor, &found[u]);
-      });
+      for (size_t u = 0; u < units.size(); ++u) {
+        RunChaseDiscoveryUnit(units[u], tgds, result.instance, governor,
+                              &found[u]);
+      }
     }
 #ifndef NDEBUG
     assert(result.instance.size() == frozen_facts &&
            result.instance.IndexRehashes() == frozen_rehashes &&
-           "instance mutated during discovery: worker spans dangled");
+           "instance mutated during discovery: spans dangled");
 #endif
     stats.discovery_ms = MsSince(discovery_start);
 
-    // Deterministic sequential merge: visiting units (and candidates
-    // within a unit) in canonical order reproduces the pending list —
-    // and hence null allocation and fact insertion order — of the
-    // sequential engine exactly.
+    // Deterministic merge: visiting units (and candidates within a unit)
+    // in canonical order fixes the pending list — and hence null
+    // allocation and fact insertion order — whoever produced the units'
+    // candidates.
     auto merge_start = std::chrono::steady_clock::now();
     for (const std::vector<Substitution>& subs : found) {
       stats.candidates += subs.size();
@@ -442,9 +425,9 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     }
     // Fire phase (sequential, deterministic). Insertions are staged and
     // committed at the round boundary: a cancellation / deadline /
-    // injected trip detected at a per-trigger checkpoint discards the
-    // partial round, so the committed prefix is identical at every thread
-    // count. A fact-budget trip instead commits the staged prefix (the
+    // injected trip detected at any fire-phase checkpoint discards the
+    // partial round, so the committed prefix is the last round boundary.
+    // A fact-budget trip instead commits the staged prefix (the
     // budget gates every insertion — a run never holds more than
     // budget.max_facts facts unless the input database already does, and
     // the sequential fire order makes the kept prefix deterministic too).
@@ -511,12 +494,24 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         if (result.instance.Contains(fact) || staged_set.count(fact) > 0) {
           continue;
         }
-        if (governor->ChargeFacts(1) != Status::kCompleted) {
-          budget_hit = true;
+        const Status charged = governor->ChargeFacts(1);
+        if (charged != Status::kCompleted) {
+          // Only a fact-budget trip keeps the staged prefix; a cancel or
+          // deadline landing on this checkpoint discards the round like
+          // one caught at a trigger boundary.
+          if (charged == Status::kBudgetExceeded) {
+            budget_hit = true;
+          } else {
+            abort_status = charged;
+          }
           break;
         }
         staged_set.insert(fact);
         staged.emplace_back(std::move(fact), trigger.level + 1);
+      }
+      if (abort_status != Status::kCompleted) {
+        --round_fired;  // this trigger's facts are discarded below
+        break;
       }
       if (options.restricted) commit_staged();
       if (budget_hit) break;
@@ -609,15 +604,13 @@ void RunChaseDiscoveryAtFact(size_t tgd_index, int anchor, size_t fact_index,
 }
 
 void RunChaseDiscoveryUnit(const ChaseDiscoveryUnit& unit, const TgdSet& tgds,
-                           const Instance& instance, int hom_threads,
-                           Governor* governor, std::vector<Substitution>* out) {
+                           const Instance& instance, Governor* governor,
+                           std::vector<Substitution>* out) {
   if (governor->Tripped()) return;
   if (unit.anchor < 0) {
-    // Initial full pass. FindAll's parallel path preserves sequential
-    // enumeration order, so sharding here keeps the merge canonical.
+    // Initial full pass, in enumeration order.
     const auto& body = tgds[unit.tgd_index].body();
     HomOptions options;
-    options.threads = hom_threads;
     options.governor = governor;
     HomomorphismSearch search(body, instance, options);
     *out = search.FindAll();

@@ -17,8 +17,7 @@ namespace gqe {
 /// The complete engine state at a chase round boundary, sufficient to
 /// continue the run and reproduce the bit-identical final instance a
 /// straight-through run produces (same facts in the same insertion
-/// order, same labelled-null ids, same levels) at every thread count.
-/// Round boundaries are the only consistent snapshot points: rounds are
+/// order, same labelled-null ids, same levels). Round boundaries are the only consistent snapshot points: rounds are
 /// transactional (PR 2), so mid-round state never escapes.
 struct ChaseCheckpointState {
   /// Value Term::NextNullId() held at the boundary; restored on resume
@@ -85,9 +84,9 @@ class ChaseCheckpointSink {
 /// TGD's body; anchor >= 0 searches with body[anchor] bound onto each
 /// fact of [delta_begin, delta_end) — a contiguous chunk of the delta
 /// frontier. Units are created — and their outputs merged — in the exact
-/// order the sequential loop visits the (tgd, anchor, fact) triples,
-/// which is what makes both the parallel and the sharded chase
-/// bit-identical to the sequential one.
+/// order the discovery loop visits the (tgd, anchor, fact) triples,
+/// which is what makes the storage-sharded chase bit-identical to the
+/// local one.
 struct ChaseDiscoveryUnit {
   size_t tgd_index = 0;
   int anchor = -1;
@@ -96,12 +95,11 @@ struct ChaseDiscoveryUnit {
 };
 
 /// Runs one discovery unit against a frozen instance, appending every
-/// body homomorphism found to `out` in canonical (sequential) order.
-/// Read-only on the instance; safe to run concurrently with other units
-/// and in forked worker processes.
+/// body homomorphism found to `out` in canonical (enumeration) order.
+/// Read-only on the instance; safe to run in forked worker processes.
 void RunChaseDiscoveryUnit(const ChaseDiscoveryUnit& unit, const TgdSet& tgds,
-                           const Instance& instance, int hom_threads,
-                           Governor* governor, std::vector<Substitution>* out);
+                           const Instance& instance, Governor* governor,
+                           std::vector<Substitution>* out);
 
 /// The single-fact slice of an anchored unit: body[anchor] of TGD
 /// `tgd_index` is bound onto fact `fact_index` only, emitting exactly the
@@ -178,22 +176,6 @@ struct ChaseOptions {
   /// reference semantics is the *oblivious* chase (false).
   bool restricted = false;
 
-  /// Semi-naive trigger discovery (delta-anchored); disable to rediscover
-  /// every trigger each round (the naive engine — same output, used as an
-  /// ablation baseline).
-  bool semi_naive = true;
-
-  /// Worker threads for trigger discovery. Each round, the delta-anchored
-  /// discovery units (per TGD × per body-atom anchor) run on a pool;
-  /// workers emit candidate triggers into per-unit buffers and a
-  /// deterministic sequential merge dedupes, assigns levels, allocates
-  /// labelled nulls in canonical order and fires heads. The result is
-  /// bit-identical to the sequential chase (same facts in the same
-  /// insertion order, same levels, same null ids) at every thread count.
-  /// 1 (default) is the sequential code path; 0 means hardware
-  /// concurrency.
-  int threads = 1;
-
   /// When set, the engine delivers round-boundary state snapshots to
   /// this sink every `checkpoint_every` rounds plus a final one when the
   /// run stops; the sink owns persistence. Null disables checkpointing
@@ -205,8 +187,8 @@ struct ChaseOptions {
   int checkpoint_every = 1;
 
   /// When set, the engine delegates each round's trigger discovery to
-  /// this hook (see ChaseDiscoveryHook) instead of running the units on
-  /// its own pool — the seam the storage-sharded multi-process chase
+  /// this hook (see ChaseDiscoveryHook) instead of running the units
+  /// itself — the seam the storage-sharded multi-process chase
   /// (shard/storage_shard.h) plugs into. The merge/fire machinery is
   /// unaffected, so results stay bit-identical as long as the hook
   /// honors the per-unit order contract.
@@ -221,20 +203,16 @@ struct ChaseOptions {
   bool collect_witness = false;
 };
 
-/// Per-round instrumentation of the chase engine, for parallel-efficiency
-/// reporting (bench_chase --threads).
+/// Per-round instrumentation of the chase engine (discovery vs merge
+/// time, candidate and fire counts).
 struct ChaseRoundStats {
-  /// Discovery work units the round was split into (first round: one per
-  /// TGD; later rounds: one per TGD × body-atom anchor with a non-empty
-  /// delta).
-  size_t work_units = 0;
   /// Candidate triggers emitted by the units, before deduplication.
   size_t candidates = 0;
   /// Triggers fired after the merge.
   size_t triggers_fired = 0;
-  /// Wall-clock time of the (parallel) discovery phase.
+  /// Wall-clock time of the discovery phase.
   double discovery_ms = 0.0;
-  /// Wall-clock time of the sequential merge + fire phase.
+  /// Wall-clock time of the merge + fire phase.
   double merge_ms = 0.0;
 };
 
@@ -256,14 +234,12 @@ struct ChaseResult {
   /// not a resource trip); any other status means a guard rail fired and
   /// `instance` is the last committed prefix. Chase rounds are
   /// transactional: a cancellation or deadline trip discards the partial
-  /// round, so the committed prefix is identical at every thread count.
+  /// round, so the committed prefix ends at a round boundary (the
+  /// restricted chase also keeps the triggers it already flushed).
   Outcome outcome;
 
   int max_level_built = 0;
   size_t triggers_fired = 0;
-
-  /// Threads the run actually used (after resolving threads == 0).
-  size_t threads_used = 1;
 
   /// Committed rounds over the whole logical run (resumed runs continue
   /// the checkpoint's count, so this is also the generation number of
@@ -298,8 +274,7 @@ ChaseResult Chase(const Instance& db, const TgdSet& tgds,
 /// layer). Restores the instance, levels, fired-trigger set, carried
 /// triggers, delta frontier and the labelled-null counter, then runs the
 /// ordinary round loop: killed at any round and resumed, the final
-/// instance is bit-identical to an uninterrupted run — at every thread
-/// count. `tgds` must be the rule set the checkpointed run used.
+/// instance is bit-identical to an uninterrupted run. `tgds` must be the rule set the checkpointed run used.
 ChaseResult ResumeChaseFromState(const ChaseCheckpointState& state,
                                  const TgdSet& tgds,
                                  const ChaseOptions& options = {});

@@ -189,13 +189,15 @@ SnapshotStatus DecodeChaseSnapshot(std::string_view payload,
 uint32_t ChaseWorkloadFingerprint(const Instance& db, const TgdSet& tgds,
                                   const ChaseOptions& options) {
   // Only the inputs that determine the chase *output* participate:
-  // threads, budgets and checkpoint cadence may differ between the
-  // checkpointed run and the resuming run.
+  // budgets and checkpoint cadence may differ between the checkpointed
+  // run and the resuming run.
   BinaryWriter writer;
   EncodeInstance(db, &writer);
   writer.WriteString(TgdSetToString(tgds));
   writer.WriteBool(options.restricted);
-  writer.WriteBool(options.semi_naive);
+  // Retired discovery-mode byte (the engine is always semi-naive): kept
+  // constant so existing checkpoints keep their fingerprints.
+  writer.WriteBool(true);
   writer.WriteI32(options.max_level);
   return Crc32(writer.buffer());
 }

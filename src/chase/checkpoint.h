@@ -138,8 +138,8 @@ struct ResumeInfo {
 /// fresh when none is usable. Either way new round-boundary snapshots are
 /// written to the directory (every options.checkpoint_every rounds), so
 /// the run can itself be killed and resumed. The final instance is
-/// bit-identical to an uninterrupted Chase(db, tgds, options) — at every
-/// thread count and wherever the previous run was killed.
+/// bit-identical to an uninterrupted Chase(db, tgds, options), wherever
+/// the previous run was killed.
 ChaseResult ResumeChase(const std::string& checkpoint_dir, const Instance& db,
                         const TgdSet& tgds, const ChaseOptions& options = {},
                         ResumeInfo* info = nullptr);

@@ -1,23 +1,19 @@
 #include "query/homomorphism.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "base/flat_table.h"
-#include "base/thread_pool.h"
 
 namespace gqe {
 
 namespace {
 
-/// Backtracking state for one search (one per thread in parallel runs; the
-/// substitution and bookkeeping are private to the searcher).
+/// Backtracking state for one search (the substitution and bookkeeping
+/// are private to the searcher).
 class Searcher {
  public:
   Searcher(const std::vector<Atom>& pattern, const Instance& target,
@@ -64,42 +60,14 @@ class Searcher {
     return count_;
   }
 
-  /// Runs the search with the given atom forced as the root of the
-  /// backtracking tree, mapped only onto candidates[begin, end). Used by
-  /// the parallel path to split the root candidate set across workers.
-  size_t RunShard(int root, const std::vector<uint32_t>& candidates,
-                  size_t begin, size_t end) {
-    count_ = 0;
-    stopped_ = false;
-    ExpandAtom(root, candidates, begin, end, 0);
-    FlushNodeCharges();
-    return count_;
-  }
-
-  /// Exposes the root-atom choice the sequential search would make from
-  /// the seeded state: the unprocessed atom with the fewest candidates.
-  bool PickRoot(int* atom, std::vector<uint32_t>* candidates) {
-    const std::vector<uint32_t>* picked = nullptr;
-    if (!PickAtom(atom, &picked)) return false;
-    *candidates = *picked;
-    return true;
-  }
-
-  /// A flag shared between shard searchers: when set, every searcher
-  /// abandons its subtree (used by Exists / early-stopping ForEach).
-  void set_shared_stop(std::atomic<bool>* stop) { shared_stop_ = stop; }
-
  private:
   bool Stopped() const {
-    return stopped_ ||
-           (shared_stop_ != nullptr &&
-            shared_stop_->load(std::memory_order_relaxed)) ||
-           (governor_ != nullptr && governor_->Tripped());
+    return stopped_ || (governor_ != nullptr && governor_->Tripped());
   }
 
   /// Accounts one candidate fact tried against the governor's search-node
-  /// budget. Charges are batched (batch 1 under a fault injector so
-  /// checkpoint counts are sharding-invariant).
+  /// budget. Charges are batched (batch 1 under a fault injector, so every
+  /// node is a checkpoint).
   void ChargeNode() {
     if (governor_ == nullptr) return;
     if (++pending_nodes_ >= charge_batch_) FlushNodeCharges();
@@ -159,21 +127,20 @@ class Searcher {
     int atom_index;
     const std::vector<uint32_t>* candidates = nullptr;
     if (!PickAtom(&atom_index, &candidates)) return;
-    ExpandAtom(atom_index, *candidates, 0, candidates->size(), depth);
+    ExpandAtom(atom_index, *candidates, depth);
   }
 
   /// Tries every candidate fact for `atom_index` in turn, recursing into
   /// the rest of the pattern on each successful unification.
   void ExpandAtom(int atom_index, const std::vector<uint32_t>& candidates,
-                  size_t begin, size_t end, size_t depth) {
+                  size_t depth) {
     processed_[atom_index] = true;
     const Atom& atom = pattern_[atom_index];
     // Rollback journal, hoisted so the candidate loop reuses its storage.
     std::vector<Term> newly_bound;
-    for (size_t c = begin; c < end; ++c) {
+    for (const uint32_t fact_index : candidates) {
       ChargeNode();
       if (Stopped()) break;
-      const uint32_t fact_index = candidates[c];
       if (target_.predicate_of(fact_index) != atom.predicate()) continue;
       // Attempt unification against the columnar argument span; record
       // newly bound variables for rollback.
@@ -218,7 +185,6 @@ class Searcher {
   Substitution assignment_;
   std::vector<char> processed_;
   FlatSet<Term> used_;
-  std::atomic<bool>* shared_stop_ = nullptr;
   size_t count_ = 0;
   bool stopped_ = false;
 
@@ -226,16 +192,6 @@ class Searcher {
   uint64_t charge_batch_;
   uint64_t pending_nodes_ = 0;
 };
-
-/// Contiguous [begin, end) shard bounds splitting `n` candidates as evenly
-/// as possible across `shards` workers.
-std::pair<size_t, size_t> ShardBounds(size_t n, size_t shards, size_t shard) {
-  size_t base = n / shards;
-  size_t extra = n % shards;
-  size_t begin = shard * base + std::min(shard, extra);
-  size_t end = begin + base + (shard < extra ? 1 : 0);
-  return {begin, end};
-}
 
 }  // namespace
 
@@ -249,179 +205,37 @@ void HomomorphismSearch::RecordStatus() {
                                          : Status::kCompleted;
 }
 
-std::optional<Substitution> HomomorphismSearch::FindOne() {
-  std::optional<Substitution> result;
-  const std::function<bool(const Substitution&)> callback =
-      [&result](const Substitution& sub) {
-        result = sub;
-        return false;  // stop after the first
-      };
+size_t HomomorphismSearch::ForEach(
+    const std::function<bool(const Substitution&)>& callback) {
   Searcher searcher(pattern_, target_, options_, callback);
   if (!searcher.Seed()) {
     RecordStatus();
-    return std::nullopt;
+    return 0;
   }
-  searcher.Run();
-  RecordStatus();
-  return result;
-}
-
-size_t HomomorphismSearch::ForEach(
-    const std::function<bool(const Substitution&)>& callback) {
-  const size_t threads = ThreadPool::ResolveThreads(options_.threads);
-  if (threads <= 1 || pattern_.empty()) {
-    Searcher searcher(pattern_, target_, options_, callback);
-    if (!searcher.Seed()) {
-      RecordStatus();
-      return 0;
-    }
-    size_t count = searcher.Run();
-    RecordStatus();
-    return count;
-  }
-  size_t count = ParallelForEach(threads, callback);
+  size_t count = searcher.Run();
   RecordStatus();
   return count;
 }
 
-size_t HomomorphismSearch::ParallelForEach(
-    size_t threads, const std::function<bool(const Substitution&)>& callback) {
-  Searcher probe(pattern_, target_, options_, callback);
-  if (!probe.Seed()) return 0;
-  int root;
-  std::vector<uint32_t> candidates;
-  if (!probe.PickRoot(&root, &candidates)) return 0;
-  if (candidates.size() <= 1) return probe.Run();
-  const size_t shards = std::min(threads, candidates.size());
-
-  std::atomic<bool> shared_stop{false};
-  std::atomic<size_t> total{0};
-  std::mutex callback_mutex;
-  const std::function<bool(const Substitution&)> locked_callback =
-      [&](const Substitution& sub) {
-        std::lock_guard<std::mutex> lock(callback_mutex);
-        if (shared_stop.load(std::memory_order_relaxed)) return false;
-        if (!callback(sub)) {
-          shared_stop.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        return true;
-      };
-
-  ThreadPool pool(threads);
-  pool.ParallelFor(shards, [&](size_t shard) {
-    auto [begin, end] = ShardBounds(candidates.size(), shards, shard);
-    Searcher searcher(pattern_, target_, options_, locked_callback);
-    if (!searcher.Seed()) return;
-    searcher.set_shared_stop(&shared_stop);
-    total.fetch_add(searcher.RunShard(root, candidates, begin, end),
-                    std::memory_order_relaxed);
-  });
-  return total.load();
-}
-
 std::vector<Substitution> HomomorphismSearch::FindAll(size_t limit) {
-  const size_t threads = ThreadPool::ResolveThreads(options_.threads);
-  if (threads > 1 && !pattern_.empty()) {
-    std::vector<Substitution> all = ParallelFindAll(threads, limit);
-    RecordStatus();
-    return all;
-  }
   std::vector<Substitution> all;
-  const std::function<bool(const Substitution&)> callback =
-      [&all, limit](const Substitution& sub) {
-        all.push_back(sub);
-        return limit == 0 || all.size() < limit;
-      };
-  Searcher searcher(pattern_, target_, options_, callback);
-  if (!searcher.Seed()) {
-    RecordStatus();
-    return all;
-  }
-  searcher.Run();
-  RecordStatus();
+  ForEach([&all, limit](const Substitution& sub) {
+    all.push_back(sub);
+    return limit == 0 || all.size() < limit;
+  });
   return all;
 }
 
-std::vector<Substitution> HomomorphismSearch::ParallelFindAll(size_t threads,
-                                                              size_t limit) {
-  std::vector<Substitution> all;
-  const std::function<bool(const Substitution&)> collect_all =
-      [&all](const Substitution& sub) {
-        all.push_back(sub);
-        return true;
-      };
-  Searcher probe(pattern_, target_, options_, collect_all);
-  if (!probe.Seed()) return all;
-  int root;
-  std::vector<uint32_t> candidates;
-  if (!probe.PickRoot(&root, &candidates)) return all;
-  if (candidates.size() <= 1) {
-    probe.Run();
-    if (limit > 0 && all.size() > limit) all.resize(limit);
-    return all;
-  }
-  const size_t shards = std::min(threads, candidates.size());
-  std::vector<std::vector<Substitution>> per_shard(shards);
-  ThreadPool pool(threads);
-  pool.ParallelFor(shards, [&](size_t shard) {
-    auto [begin, end] = ShardBounds(candidates.size(), shards, shard);
-    const std::function<bool(const Substitution&)> collect =
-        [&per_shard, shard](const Substitution& sub) {
-          per_shard[shard].push_back(sub);
-          return true;
-        };
-    Searcher searcher(pattern_, target_, options_, collect);
-    if (!searcher.Seed()) return;
-    searcher.RunShard(root, candidates, begin, end);
+std::optional<Substitution> HomomorphismSearch::FindOne() {
+  std::optional<Substitution> result;
+  ForEach([&result](const Substitution& sub) {
+    result = sub;
+    return false;  // stop after the first
   });
-  // Shards are contiguous slices of the root candidate order, so this
-  // concatenation reproduces sequential enumeration order exactly.
-  for (auto& shard_results : per_shard) {
-    for (auto& sub : shard_results) {
-      if (limit > 0 && all.size() >= limit) return all;
-      all.push_back(std::move(sub));
-    }
-  }
-  return all;
+  return result;
 }
 
-bool HomomorphismSearch::Exists() {
-  const size_t threads = ThreadPool::ResolveThreads(options_.threads);
-  if (threads <= 1 || pattern_.empty()) return FindOne().has_value();
-  bool found = ParallelExists(threads);
-  RecordStatus();
-  return found;
-}
-
-bool HomomorphismSearch::ParallelExists(size_t threads) {
-  std::atomic<bool> found{false};
-  const std::function<bool(const Substitution&)> witness =
-      [&found](const Substitution&) {
-        found.store(true, std::memory_order_relaxed);
-        return false;
-      };
-  Searcher probe(pattern_, target_, options_, witness);
-  if (!probe.Seed()) return false;
-  int root;
-  std::vector<uint32_t> candidates;
-  if (!probe.PickRoot(&root, &candidates)) return false;
-  if (candidates.size() <= 1) {
-    probe.Run();
-    return found.load();
-  }
-  const size_t shards = std::min(threads, candidates.size());
-  ThreadPool pool(threads);
-  pool.ParallelFor(shards, [&](size_t shard) {
-    if (found.load(std::memory_order_relaxed)) return;
-    auto [begin, end] = ShardBounds(candidates.size(), shards, shard);
-    Searcher searcher(pattern_, target_, options_, witness);
-    if (!searcher.Seed()) return;
-    searcher.set_shared_stop(&found);
-    searcher.RunShard(root, candidates, begin, end);
-  });
-  return found.load();
-}
+bool HomomorphismSearch::Exists() { return FindOne().has_value(); }
 
 std::vector<Atom> PatternFromInstance(
     const Instance& from, const std::vector<Term>& fixed,

@@ -23,19 +23,11 @@ struct HomOptions {
   /// variables to ground terms.
   Substitution fixed;
 
-  /// Worker threads for ForEach/FindAll/Exists: the candidate facts of the
-  /// most selective atom are split across workers, each running the
-  /// backtracking core on a private substitution. 1 (default) is the
-  /// sequential code path; 0 means hardware concurrency. FindAll returns
-  /// the same substitutions in the same order at every thread count;
-  /// ForEach callbacks are serialized but arrive in unspecified order.
-  int threads = 1;
-
   /// Optional shared resource governor. Every candidate fact tried is a
   /// search node charged against the governor's budget; once the governor
-  /// trips, all searchers (including parallel shards) abandon their
-  /// subtrees promptly and the enumeration is incomplete — check
-  /// HomomorphismSearch::status() or the governor itself.
+  /// trips, the searcher abandons its remaining subtrees promptly and the
+  /// enumeration is incomplete — check HomomorphismSearch::status() or the
+  /// governor itself.
   Governor* governor = nullptr;
 };
 
@@ -49,20 +41,17 @@ class HomomorphismSearch {
   HomomorphismSearch(const std::vector<Atom>& pattern, const Instance& target,
                      HomOptions options = {});
 
-  /// Finds one homomorphism, if any. Always sequential (the witness is
-  /// the first one in deterministic enumeration order).
+  /// Finds one homomorphism, if any: the first one in deterministic
+  /// enumeration order.
   std::optional<Substitution> FindOne();
 
   /// Invokes `callback` for every homomorphism until it returns false.
-  /// Returns the number of homomorphisms visited. With threads > 1 the
-  /// callback is invoked (serialized) from pool threads in unspecified
-  /// order, and an early stop may count homomorphisms the callback never
-  /// saw.
+  /// Returns the number of homomorphisms visited. The search is
+  /// sequential and deterministic: callbacks arrive in enumeration order.
   size_t ForEach(const std::function<bool(const Substitution&)>& callback);
 
-  /// Collects up to `limit` homomorphisms (0 = all). Deterministic at any
-  /// thread count: the parallel path concatenates shard results in
-  /// candidate order, which equals sequential enumeration order.
+  /// Collects up to `limit` homomorphisms (0 = all), in enumeration
+  /// order: FindAll(limit) is a prefix of FindAll().
   std::vector<Substitution> FindAll(size_t limit = 0);
 
   bool Exists();
@@ -75,10 +64,6 @@ class HomomorphismSearch {
  private:
   /// Records the governed status after a public entry point ran.
   void RecordStatus();
-  size_t ParallelForEach(
-      size_t threads, const std::function<bool(const Substitution&)>& callback);
-  std::vector<Substitution> ParallelFindAll(size_t threads, size_t limit);
-  bool ParallelExists(size_t threads);
 
   const std::vector<Atom>& pattern_;
   const Instance& target_;

@@ -1581,8 +1581,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         // Full passes run coordinator-side under a fresh ungoverned
         // governor (budgets are engine-side rails, and a replayed round
         // must redo the same search).
-        RunChaseDiscoveryUnit(unit, *round.tgds, instance, /*hom_threads=*/1,
-                              &governor, &out);
+        RunChaseDiscoveryUnit(unit, *round.tgds, instance, &governor, &out);
         continue;
       }
       const Tgd& tgd = (*round.tgds)[unit.tgd_index];
@@ -1937,9 +1936,6 @@ ChaseResult StorageShardChase(const Instance& db, const TgdSet& tgds,
   StorageCoordinator coordinator(storage_options, stats);
   ChaseOptions options = chase_options;
   options.discovery_hook = &coordinator;
-  // Fork without exec requires a single-threaded parent; the worker
-  // processes are the parallelism.
-  options.threads = 1;
   return Chase(db, tgds, options);
 }
 
@@ -1952,7 +1948,6 @@ ChaseResult ResumeStorageShardChase(const std::string& checkpoint_dir,
   StorageCoordinator coordinator(storage_options, stats);
   ChaseOptions options = chase_options;
   options.discovery_hook = &coordinator;
-  options.threads = 1;
   return ResumeChase(checkpoint_dir, db, tgds, options, info);
 }
 

@@ -73,25 +73,6 @@ const char* VerifyOutcomeName(VerifyOutcome outcome) {
   return "unknown";
 }
 
-int ParseThreadsFlag(int* argc, char** argv, int default_threads) {
-  int threads = default_threads;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < *argc) {
-      threads = std::atoi(argv[++i]);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return threads;
-}
-
 ExecutionBudget ParseBudgetFlags(int* argc, char** argv) {
   ExecutionBudget budget;
   budget.max_facts = 0;  // benches default to unlimited, not engine caps

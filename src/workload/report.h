@@ -48,12 +48,6 @@ enum class VerifyOutcome : int {
 
 const char* VerifyOutcomeName(VerifyOutcome outcome);
 
-/// Parses and strips a `--threads=N` / `--threads N` flag from argv
-/// (benches share the flag with ChaseOptions::threads / HomOptions
-/// semantics: 1 sequential, 0 hardware concurrency). Returns
-/// `default_threads` when the flag is absent.
-int ParseThreadsFlag(int* argc, char** argv, int default_threads = 1);
-
 /// Parses and strips `--deadline-ms=X` / `--deadline-ms X` and
 /// `--budget-facts=N` / `--budget-facts N` flags from argv into an
 /// ExecutionBudget (0 in either field means unlimited, the default).

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -8,6 +7,10 @@
 #include "chase/chase.h"
 #include "query/evaluation.h"
 #include "query/homomorphism.h"
+#include "tgd/tgd.h"
+#include "verify/verifier.h"
+#include "verify/witness.h"
+#include "workload/generators.h"
 
 namespace gqe {
 namespace {
@@ -202,29 +205,100 @@ TEST(ChaseTest, ChaseAnswersCertainly) {
   EXPECT_EQ(answers[0][0], C("gina"));
 }
 
-/// Transitive closure plus one existential rule whose nulls feed a
-/// third, multi-level rule: recursion, labelled nulls and carried
-/// triggers are all in play. The nulls are named by their trigger's
-/// frontier through CNl(X, Y, W).
-TgdSet NaiveSigma() {
-  return {Tgd({Atom::Make("CNe", {V("X"), V("Y")}),
-               Atom::Make("CNe", {V("Y"), V("Z")})},
-              {Atom::Make("CNe", {V("X"), V("Z")})}),
-          Tgd({Atom::Make("CNe", {V("X"), V("Y")})},
-              {Atom::Make("CNl", {V("X"), V("Y"), V("W")})}),
-          Tgd({Atom::Make("CNl", {V("X"), V("Y"), V("W")}),
-               Atom::Make("CNe", {V("Y"), V("Z")})},
-              {Atom::Make("CNr", {V("W"), V("Z")})})};
+// ---------------------------------------------------------------------
+// Random workloads: the inclusion-dependency generator alternating with
+// a join generator, so linear rules and joins are both exercised.
+// ---------------------------------------------------------------------
+
+TgdSet RandomJoinTgds(const std::string& prefix, int num_preds, int num_tgds,
+                      uint64_t seed) {
+  WorkloadRng rng(seed);
+  Term x = V("X");
+  Term y = V("Y");
+  Term z = V("Z");
+  Term w = V("W");
+  auto pred = [&prefix](uint32_t i) { return prefix + std::to_string(i); };
+  TgdSet tgds;
+  for (int i = 0; i < num_tgds; ++i) {
+    std::vector<Atom> body;
+    body.push_back(Atom::Make(pred(rng.Below(num_preds)), {x, y}));
+    if (rng.Chance(50)) {
+      // Join a second body atom through Y.
+      body.push_back(Atom::Make(pred(rng.Below(num_preds)), {y, z}));
+    }
+    std::vector<Atom> head;
+    Term tail = body.size() == 2 ? z : y;
+    if (rng.Chance(30)) {
+      head.push_back(Atom::Make(pred(rng.Below(num_preds)), {x, w}));  // ∃W
+    } else if (rng.Chance(50)) {
+      head.push_back(Atom::Make(pred(rng.Below(num_preds)), {tail, x}));
+    } else {
+      head.push_back(Atom::Make(pred(rng.Below(num_preds)), {x, tail}));
+    }
+    if (rng.Chance(30)) {
+      head.push_back(Atom::Make(pred(rng.Below(num_preds)), {x, x}));
+    }
+    tgds.push_back(Tgd(std::move(body), std::move(head)));
+  }
+  return tgds;
 }
 
-Instance NaiveDb() {
+struct RandomWorkload {
+  TgdSet sigma;
   Instance db;
-  for (int i = 0; i < 5; ++i) {
-    db.Insert(Atom::Make("CNe", {Term::Constant("cn" + std::to_string(i)),
-                                 Term::Constant("cn" + std::to_string(i + 1))}));
+};
+
+RandomWorkload MakeWorkload(int seed) {
+  const std::string prefix = "pdt" + std::to_string(seed % 7) + "p";
+  WorkloadRng rng(seed * 31 + 5);
+  RandomWorkload w;
+  // Prefer weakly-acyclic draws (bounded retries) so most runs reach a
+  // true fixpoint, but keep non-terminating draws too: the
+  // budget-truncated chase must also yield a sound derivation.
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    uint64_t s = static_cast<uint64_t>(seed) * 131 + attempt;
+    w.sigma = (seed % 2 == 0)
+                  ? RandomInclusionDependencies(prefix, 4, 5,
+                                                /*existential=*/35, s)
+                  : RandomJoinTgds(prefix, 4, 4, s);
+    if (IsObliviousChaseTerminating(w.sigma)) break;
   }
-  return db;
+  for (int p = 0; p < 2; ++p) {
+    w.db.InsertAll(RandomBinaryDatabase(prefix + std::to_string(p), 6,
+                                        5 + rng.Below(6), seed * 13 + p,
+                                        "pd" + std::to_string(seed % 5)));
+  }
+  return w;
 }
+
+// Witness oracle: the derivation log the chase emits is self-consistent
+// — the independent checker replays it from the database alone back to
+// the chase instance, fact for fact and in insertion order.
+class ChaseWitnessOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChaseWitnessOracle, VerifierReplaysDerivation) {
+  const int seed = GetParam();
+  RandomWorkload w = MakeWorkload(seed);
+  ChaseOptions options;
+  options.budget.max_facts = 1200;  // caps the (rare) non-terminating draws
+  options.collect_witness = true;
+  ChaseResult result = Chase(w.db, w.sigma, options);
+  ASSERT_TRUE(result.derivation.collected) << "seed " << seed;
+  EXPECT_EQ(result.derivation.instance_crc,
+            result.derivation.replay_exact ? InstanceTextCrc(result.instance)
+                                           : 0u)
+      << "seed " << seed;
+  if (!result.derivation.replay_exact) return;
+  Instance replayed;
+  VerifyResult check =
+      VerifyDerivation(w.db, w.sigma, result.derivation, &replayed);
+  ASSERT_TRUE(check.ok()) << "seed " << seed << ": "
+                          << VerifyCodeName(check.code) << " — "
+                          << check.reason;
+  EXPECT_EQ(replayed.atoms(), result.instance.atoms()) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaseWitnessOracle, ::testing::Range(0, 20));
 
 struct RecordingSink : ChaseCheckpointSink {
   std::vector<ChaseCheckpointState> states;
@@ -233,82 +307,49 @@ struct RecordingSink : ChaseCheckpointSink {
   }
 };
 
-TEST(ChaseTest, NaiveMatchesSemiNaive) {
-  const TgdSet sigma = NaiveSigma();
-  const Instance db = NaiveDb();
-  // The budget only bounds a broken engine: the chase has 50 facts.
-  ChaseOptions semi_options;
-  semi_options.budget.max_facts = 1000;
-  ChaseOptions naive_options = semi_options;
-  naive_options.semi_naive = false;
-  const ChaseResult semi = Chase(db, sigma, semi_options);
-  const ChaseResult naive = Chase(db, sigma, naive_options);
-  ASSERT_TRUE(semi.complete);
-  EXPECT_EQ(naive.complete, semi.complete);
-  ASSERT_EQ(naive.levels.size(), naive.instance.size());
-  ASSERT_EQ(naive.instance.size(), semi.instance.size());
-
-  // The two engines may draw nulls in different orders; CNl(X, Y, W)
-  // names each null by its trigger, which gives the renaming.
-  const PredicateId nl = predicates::Lookup("CNl");
-  std::map<std::pair<uint32_t, uint32_t>, Term> semi_null;
-  for (uint32_t i : semi.instance.FactsWithPredicate(nl)) {
-    const auto& args = semi.instance.atom(i).args();
-    semi_null[{args[0].bits(), args[1].bits()}] = args[2];
+// Rounds are transactional: a fault injector trips kCancelled at the Nth
+// governor checkpoint — in discovery, at a trigger boundary or on a fact
+// charge — and the committed result is exactly the last round boundary
+// the sink received, not "some prefix".
+TEST(ChaseCancellation, InjectedCancelCommitsLastBoundary) {
+  // Diverging workload (never reaches a fixpoint) whose rounds have many
+  // triggers and joins.
+  TgdSet sigma;
+  Term x = V("X");
+  Term y = V("Y");
+  Term z = V("Z");
+  Term w = V("W");
+  sigma.push_back(Tgd({Atom::Make("pcc", {x, y}), Atom::Make("pcc", {y, z})},
+                      {Atom::Make("pcc", {x, z})}));
+  sigma.push_back(Tgd({Atom::Make("pcc", {x, y})},
+                      {Atom::Make("pcc", {y, w})}));
+  Instance db;
+  for (int i = 0; i < 4; ++i) {
+    db.Insert(Atom::Make("pcc",
+                         {Term::Constant("pc" + std::to_string(i)),
+                          Term::Constant("pc" + std::to_string(i + 1))}));
   }
-  std::map<uint32_t, Term> rename;
-  for (uint32_t i : naive.instance.FactsWithPredicate(nl)) {
-    const auto& args = naive.instance.atom(i).args();
-    auto it = semi_null.find({args[0].bits(), args[1].bits()});
-    ASSERT_NE(it, semi_null.end());
-    rename[args[2].bits()] = it->second;
-  }
-  ASSERT_EQ(rename.size(), semi_null.size());
-  for (size_t i = 0; i < naive.instance.size(); ++i) {
-    Atom fact = naive.instance.atom(i);
-    for (Term& t : fact.mutable_args()) {
-      if (t.IsNull()) t = rename.at(t.bits());
-    }
-    const int64_t index = semi.instance.Find(fact);
-    ASSERT_GE(index, 0) << fact;
-    EXPECT_EQ(naive.levels[i], semi.levels[index]) << fact;
-  }
-}
 
-TEST(ChaseTest, NaiveResumeFromMidRunMatchesUninterrupted) {
-  const TgdSet sigma = NaiveSigma();
-  const Instance db = NaiveDb();
-  const uint32_t null_base = Term::NextNullId();
-  ChaseOptions options;
-  options.semi_naive = false;
-  options.budget.max_facts = 1000;
-  RecordingSink sink;
-  ChaseOptions tracked = options;
-  tracked.checkpoint_sink = &sink;
-
-  Term::SetNextNullId(null_base);
-  const ChaseResult reference = Chase(db, sigma, options);
-  Term::SetNextNullId(null_base);
-  const ChaseResult traced = Chase(db, sigma, tracked);
-  ASSERT_TRUE(reference.complete);
-  ASSERT_GE(sink.states.size(), 3u);
-  ASSERT_TRUE(traced.instance.SetEquals(reference.instance));
-
-  const ChaseCheckpointState& mid = sink.states[sink.states.size() / 2];
-  ASSERT_FALSE(mid.complete);
-  ASSERT_GT(mid.rounds_completed, 0u);
-  Term::SetNextNullId(null_base + 1000);
-  const ChaseResult resumed = ResumeChaseFromState(mid, sigma, options);
-  ASSERT_EQ(resumed.instance.size(), reference.instance.size());
-  for (size_t i = 0; i < reference.instance.size(); ++i) {
-    ASSERT_EQ(resumed.instance.atom(i), reference.instance.atom(i))
-        << "fact " << i;
+  for (uint64_t at = 1; at < 1200; at += 7) {
+    TestFaultInjector injector(Status::kCancelled, at);
+    ExecutionBudget budget;
+    budget.max_facts = 0;  // the injector is the only guard rail
+    Governor governor(budget, &injector);
+    RecordingSink sink;
+    ChaseOptions options;
+    options.governor = &governor;
+    options.checkpoint_sink = &sink;
+    ChaseResult result = Chase(db, sigma, options);
+    EXPECT_EQ(result.outcome.status, Status::kCancelled) << "at " << at;
+    EXPECT_FALSE(result.complete) << "at " << at;
+    ASSERT_FALSE(sink.states.empty()) << "at " << at;
+    const ChaseCheckpointState& last = sink.states.back();
+    EXPECT_FALSE(last.complete) << "at " << at;
+    EXPECT_EQ(result.instance.atoms(), last.atoms) << "at " << at;
+    EXPECT_EQ(result.levels, last.levels) << "at " << at;
+    EXPECT_EQ(result.triggers_fired, last.triggers_fired) << "at " << at;
+    EXPECT_EQ(result.rounds_completed, last.rounds_completed) << "at " << at;
   }
-  EXPECT_EQ(resumed.levels.size(), resumed.instance.size());
-  EXPECT_EQ(resumed.levels, reference.levels);
-  EXPECT_EQ(resumed.complete, reference.complete);
-  EXPECT_EQ(resumed.rounds_completed, reference.rounds_completed);
-  Term::SetNextNullId(null_base);
 }
 
 }  // namespace

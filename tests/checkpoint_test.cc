@@ -2,11 +2,10 @@
 // round-boundary snapshots): kill-and-resume determinism — a chase
 // tripped by the governor fault injector at checkpoints 1, 3, 7 (and
 // deeper), resumed from disk, produces the bit-identical final instance
-// an uninterrupted run produces, at 1 and 8 threads — plus corruption
-// handling: flipped bytes and truncations are rejected by checksum with
-// a distinct status and recovery falls back to the previous good
-// generation (or a fresh run), never a crash or a silently wrong
-// instance.
+// an uninterrupted run produces — plus corruption handling: flipped
+// bytes and truncations are rejected by checksum with a distinct status
+// and recovery falls back to the previous good generation (or a fresh
+// run), never a crash or a silently wrong instance.
 
 #include <gtest/gtest.h>
 
@@ -116,42 +115,35 @@ TEST(CheckpointTest, KillAtInjectedCheckpointResumeFromDisk) {
   ASSERT_TRUE(reference.complete);
 
   for (uint64_t at : {1u, 3u, 7u, 40u, 400u}) {
-    for (int threads : {1, 8}) {
-      const std::string label =
-          "at=" + std::to_string(at) + " threads=" + std::to_string(threads);
-      const std::string dir =
-          FreshDir("kill_" + std::to_string(at) + "_" +
-                   std::to_string(threads));
+    const std::string label = "at=" + std::to_string(at);
+    const std::string dir = FreshDir("kill_" + std::to_string(at));
 
-      // The "crash": a run whose governor trips kCancelled at a fixed
-      // logical checkpoint. Only the snapshots it wrote survive.
-      Term::SetNextNullId(null_base);
-      TestFaultInjector injector(Status::kCancelled, at);
-      ExecutionBudget budget;
-      budget.max_facts = 0;
-      Governor governor(budget, &injector);
-      ChaseOptions killed_options;
-      killed_options.threads = threads;
-      killed_options.governor = &governor;
-      ResumeInfo killed_info;
-      ChaseResult killed =
-          ResumeChase(dir, db, sigma, killed_options, &killed_info);
-      ASSERT_EQ(killed.outcome.status, Status::kCancelled) << label;
-      ASSERT_FALSE(killed.complete) << label;
+    // The "crash": a run whose governor trips kCancelled at a fixed
+    // logical checkpoint. Only the snapshots it wrote survive.
+    Term::SetNextNullId(null_base);
+    TestFaultInjector injector(Status::kCancelled, at);
+    ExecutionBudget budget;
+    budget.max_facts = 0;
+    Governor governor(budget, &injector);
+    ChaseOptions killed_options;
+    killed_options.governor = &governor;
+    ResumeInfo killed_info;
+    ChaseResult killed =
+        ResumeChase(dir, db, sigma, killed_options, &killed_info);
+    ASSERT_EQ(killed.outcome.status, Status::kCancelled) << label;
+    ASSERT_FALSE(killed.complete) << label;
 
-      // The recovery: a fresh entry through ResumeChase, null counter
-      // deliberately clobbered — the snapshot must restore it.
-      Term::SetNextNullId(null_base + 5000);
-      ChaseOptions resume_options;
-      resume_options.threads = threads;
-      ResumeInfo info;
-      ChaseResult resumed = ResumeChase(dir, db, sigma, resume_options, &info);
-      EXPECT_TRUE(info.resumed) << label;
-      ASSERT_TRUE(resumed.complete) << label;
-      ExpectBitIdentical(resumed, reference, label);
+    // The recovery: a fresh entry through ResumeChase, null counter
+    // deliberately clobbered — the snapshot must restore it.
+    Term::SetNextNullId(null_base + 5000);
+    ChaseOptions resume_options;
+    ResumeInfo info;
+    ChaseResult resumed = ResumeChase(dir, db, sigma, resume_options, &info);
+    EXPECT_TRUE(info.resumed) << label;
+    ASSERT_TRUE(resumed.complete) << label;
+    ExpectBitIdentical(resumed, reference, label);
 
-      std::filesystem::remove_all(dir);
-    }
+    std::filesystem::remove_all(dir);
   }
   Term::SetNextNullId(null_base);
 }
@@ -259,6 +251,28 @@ TEST(CheckpointTest, CorruptionIsRejectedWithDistinctStatus) {
   Term::SetNextNullId(null_base);
 }
 
+TEST(CheckpointTest, WorkloadFingerprintLayoutIsPinned) {
+  // The fingerprint gates every on-disk snapshot: a layout change would
+  // orphan existing checkpoints. The byte after `restricted` is a retired
+  // discovery-mode flag, pinned to 1.
+  const Instance db = CkDb();
+  const TgdSet sigma = CkSigma();
+  for (bool restricted : {false, true}) {
+    ChaseOptions options;
+    options.restricted = restricted;
+    options.max_level = 7;
+    BinaryWriter expected;
+    EncodeInstance(db, &expected);
+    expected.WriteString(TgdSetToString(sigma));
+    expected.WriteBool(restricted);
+    expected.WriteU8(1);
+    expected.WriteI32(options.max_level);
+    EXPECT_EQ(ChaseWorkloadFingerprint(db, sigma, options),
+              Crc32(expected.buffer()))
+        << "restricted=" << restricted;
+  }
+}
+
 TEST(CheckpointTest, ForeignWorkloadIsNotResumed) {
   Instance db = CkDb();
   TgdSet sigma = CkSigma();
@@ -288,8 +302,8 @@ TEST(CheckpointTest, WitnessLogSurvivesResumeBitIdentically) {
   // Certified answers (ISSUE 5): a witness-collecting chase killed at a
   // checkpoint and resumed from disk reproduces the *same replayable
   // derivation log* as an uninterrupted run — bit-identical steps, same
-  // labelled nulls — at 1 and 8 threads, and the independent checker
-  // replays it back to the chase instance.
+  // labelled nulls — and the independent checker replays it back to the
+  // chase instance.
   Instance db = CkDb();
   TgdSet sigma = CkSigma();
   const uint32_t null_base = Term::NextNullId();
@@ -304,52 +318,45 @@ TEST(CheckpointTest, WitnessLogSurvivesResumeBitIdentically) {
   ASSERT_FALSE(reference.derivation.steps.empty());
 
   for (uint64_t at : {3u, 40u}) {
-    for (int threads : {1, 8}) {
-      const std::string label =
-          "at=" + std::to_string(at) + " threads=" + std::to_string(threads);
-      const std::string dir =
-          FreshDir("witness_" + std::to_string(at) + "_" +
-                   std::to_string(threads));
+    const std::string label = "at=" + std::to_string(at);
+    const std::string dir = FreshDir("witness_" + std::to_string(at));
 
-      Term::SetNextNullId(null_base);
-      TestFaultInjector injector(Status::kCancelled, at);
-      ExecutionBudget budget;
-      budget.max_facts = 0;
-      Governor governor(budget, &injector);
-      ChaseOptions killed_options;
-      killed_options.threads = threads;
-      killed_options.collect_witness = true;
-      killed_options.governor = &governor;
-      ResumeInfo killed_info;
-      ChaseResult killed =
-          ResumeChase(dir, db, sigma, killed_options, &killed_info);
-      ASSERT_FALSE(killed.complete) << label;
+    Term::SetNextNullId(null_base);
+    TestFaultInjector injector(Status::kCancelled, at);
+    ExecutionBudget budget;
+    budget.max_facts = 0;
+    Governor governor(budget, &injector);
+    ChaseOptions killed_options;
+    killed_options.collect_witness = true;
+    killed_options.governor = &governor;
+    ResumeInfo killed_info;
+    ChaseResult killed =
+        ResumeChase(dir, db, sigma, killed_options, &killed_info);
+    ASSERT_FALSE(killed.complete) << label;
 
-      // Resume with a clobbered null counter: the snapshot restores it
-      // along with the fired-trigger and null logs.
-      Term::SetNextNullId(null_base + 9000);
-      ChaseOptions resume_options;
-      resume_options.threads = threads;
-      resume_options.collect_witness = true;
-      ResumeInfo info;
-      ChaseResult resumed = ResumeChase(dir, db, sigma, resume_options, &info);
-      EXPECT_TRUE(info.resumed) << label;
-      ASSERT_TRUE(resumed.complete) << label;
-      ASSERT_TRUE(resumed.derivation.collected) << label;
-      EXPECT_TRUE(resumed.derivation == reference.derivation) << label;
+    // Resume with a clobbered null counter: the snapshot restores it
+    // along with the fired-trigger and null logs.
+    Term::SetNextNullId(null_base + 9000);
+    ChaseOptions resume_options;
+    resume_options.collect_witness = true;
+    ResumeInfo info;
+    ChaseResult resumed = ResumeChase(dir, db, sigma, resume_options, &info);
+    EXPECT_TRUE(info.resumed) << label;
+    ASSERT_TRUE(resumed.complete) << label;
+    ASSERT_TRUE(resumed.derivation.collected) << label;
+    EXPECT_TRUE(resumed.derivation == reference.derivation) << label;
 
-      Instance replayed;
-      VerifyResult check =
-          VerifyDerivation(db, sigma, resumed.derivation, &replayed);
-      EXPECT_TRUE(check.ok()) << label << ": " << check.reason;
-      ASSERT_EQ(replayed.size(), resumed.instance.size()) << label;
-      for (size_t i = 0; i < replayed.size(); ++i) {
-        ASSERT_EQ(replayed.atom(i), resumed.instance.atom(i))
-            << label << " fact " << i;
-      }
-
-      std::filesystem::remove_all(dir);
+    Instance replayed;
+    VerifyResult check =
+        VerifyDerivation(db, sigma, resumed.derivation, &replayed);
+    EXPECT_TRUE(check.ok()) << label << ": " << check.reason;
+    ASSERT_EQ(replayed.size(), resumed.instance.size()) << label;
+    for (size_t i = 0; i < replayed.size(); ++i) {
+      ASSERT_EQ(replayed.atom(i), resumed.instance.atom(i))
+          << label << " fact " << i;
     }
+
+    std::filesystem::remove_all(dir);
   }
   Term::SetNextNullId(null_base);
 }

@@ -217,26 +217,20 @@ TEST(GovernorInjectionTest, OmqPipelineSharesOneBudget) {
 
 // ---------------------------------------------------------------------
 // Wall-clock deadlines (the acceptance scenario): a diverging chase
-// under a 100 ms deadline returns kDeadlineExceeded promptly at one and
-// at eight threads, with every worker joined by the time Chase returns.
+// under a 100 ms deadline returns kDeadlineExceeded promptly.
 // ---------------------------------------------------------------------
 
 TEST(GovernorDeadlineTest, DivergingChaseHitsDeadlinePromptly) {
   const double deadline_ms = 100.0;
-  for (int threads : {1, 8}) {
-    ChaseOptions options;
-    options.threads = threads;
-    options.budget.max_facts = 0;
-    options.budget.deadline_ms = deadline_ms;
-    ChaseResult result = Chase(DivergingDb(8), DivergingSigma(), options);
-    EXPECT_EQ(result.outcome.status, Status::kDeadlineExceeded)
-        << "threads " << threads;
-    EXPECT_FALSE(result.complete) << "threads " << threads;
-    EXPECT_GE(result.outcome.elapsed_ms, deadline_ms) << "threads " << threads;
-    // ~2x the deadline, with headroom for sanitizer-slowed checkpoints.
-    EXPECT_LE(result.outcome.elapsed_ms, 4 * deadline_ms)
-        << "threads " << threads;
-  }
+  ChaseOptions options;
+  options.budget.max_facts = 0;
+  options.budget.deadline_ms = deadline_ms;
+  ChaseResult result = Chase(DivergingDb(8), DivergingSigma(), options);
+  EXPECT_EQ(result.outcome.status, Status::kDeadlineExceeded);
+  EXPECT_FALSE(result.complete);
+  EXPECT_GE(result.outcome.elapsed_ms, deadline_ms);
+  // ~2x the deadline, with headroom for sanitizer-slowed checkpoints.
+  EXPECT_LE(result.outcome.elapsed_ms, 4 * deadline_ms);
 }
 
 TEST(GovernorDeadlineTest, CliqueTreewidthDegradesUnderDeadline) {
@@ -257,24 +251,20 @@ TEST(GovernorDeadlineTest, CliqueTreewidthDegradesUnderDeadline) {
   EXPECT_TRUE(result.decomposition.Validate(clique, &why)) << why;
 }
 
-TEST(GovernorDeadlineTest, CancelTokenStopsParallelChase) {
+TEST(GovernorDeadlineTest, CancelTokenStopsChase) {
   // A pre-cancelled token: the chase must notice at its first checkpoint
   // and return kCancelled without committing any round.
   CancelToken token = CancelToken::Create();
   token.RequestCancel();
-  for (int threads : {1, 8}) {
-    ChaseOptions options;
-    options.threads = threads;
-    options.budget.max_facts = 0;
-    options.budget.cancel = token;
-    Instance db = DivergingDb(4);
-    ChaseResult result = Chase(db, DivergingSigma(), options);
-    EXPECT_EQ(result.outcome.status, Status::kCancelled)
-        << "threads " << threads;
-    EXPECT_FALSE(result.complete);
-    // Only the input facts were committed.
-    EXPECT_EQ(result.instance.size(), db.size());
-  }
+  ChaseOptions options;
+  options.budget.max_facts = 0;
+  options.budget.cancel = token;
+  Instance db = DivergingDb(4);
+  ChaseResult result = Chase(db, DivergingSigma(), options);
+  EXPECT_EQ(result.outcome.status, Status::kCancelled);
+  EXPECT_FALSE(result.complete);
+  // Only the input facts were committed.
+  EXPECT_EQ(result.instance.size(), db.size());
 }
 
 }  // namespace

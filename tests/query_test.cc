@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "base/instance.h"
 #include "query/containment.h"
@@ -10,6 +12,7 @@
 #include "query/evaluation.h"
 #include "query/homomorphism.h"
 #include "query/tw_evaluation.h"
+#include "workload/generators.h"
 
 namespace gqe {
 namespace {
@@ -125,6 +128,56 @@ TEST(HomomorphismTest, InstanceHomomorphismWithFixedElements) {
   EXPECT_TRUE(InstanceHomomorphism(from, to).has_value());
   // Fixing u1 fails: u1 is not in the target domain.
   EXPECT_FALSE(InstanceHomomorphism(from, to, {C("u1")}).has_value());
+}
+
+TEST(HomomorphismTest, EntryPointsAgreeOnRandomPatterns) {
+  // One enumeration behind every entry point: ForEach visits what
+  // FindAll returns, in the same order; a limited FindAll is its prefix;
+  // Exists is its non-emptiness.
+  for (int seed = 0; seed < 30; ++seed) {
+    WorkloadRng rng(seed * 17 + 3);
+    Instance db =
+        RandomBinaryDatabase("phr", 8, 20 + rng.Below(20), seed, "ph");
+    // Random CQ pattern: 2-4 atoms over 2-4 variables.
+    const int num_vars = 2 + rng.Below(3);
+    const int num_atoms = 2 + rng.Below(3);
+    std::vector<Atom> pattern;
+    for (int i = 0; i < num_atoms; ++i) {
+      pattern.push_back(Atom::Make(
+          "phr",
+          {Term::Variable("phv" + std::to_string(rng.Below(num_vars))),
+           Term::Variable("phv" + std::to_string(rng.Below(num_vars)))}));
+    }
+    const std::vector<Substitution> all =
+        HomomorphismSearch(pattern, db).FindAll();
+
+    std::vector<Substitution> visited;
+    const size_t count =
+        HomomorphismSearch(pattern, db).ForEach([&](const Substitution& sub) {
+          visited.push_back(sub);
+          return true;
+        });
+    EXPECT_EQ(count, all.size()) << "seed " << seed;
+    ASSERT_EQ(visited.size(), all.size()) << "seed " << seed;
+    for (size_t i = 0; i < all.size(); ++i) {
+      EXPECT_TRUE(visited[i].SameMapping(all[i]))
+          << "seed " << seed << " position " << i;
+    }
+
+    EXPECT_EQ(HomomorphismSearch(pattern, db).Exists(), !all.empty())
+        << "seed " << seed;
+
+    if (all.size() > 1) {
+      const size_t limit = all.size() / 2;
+      const std::vector<Substitution> limited =
+          HomomorphismSearch(pattern, db).FindAll(limit);
+      ASSERT_EQ(limited.size(), limit) << "seed " << seed;
+      for (size_t i = 0; i < limit; ++i) {
+        EXPECT_TRUE(limited[i].SameMapping(all[i]))
+            << "seed " << seed << " position " << i;
+      }
+    }
+  }
 }
 
 TEST(HomomorphismTest, InjectivelyOnly) {

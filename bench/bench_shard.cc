@@ -223,7 +223,9 @@ int RunJsonBench() {
         StorageShardChase(db, sigma, chase_options, options, &stats);
     const double ms = watch.ElapsedMs();
     g_watchdog.Record(key, result.outcome);
-    json.Add(key, ms * 1e6, stats.recovery_ms);
+    json.Add(key, ms * 1e6,
+             static_cast<double>(result.instance.size()) * 1e3 / ms);
+    json.Add(key + "/recovery", stats.recovery_ms * 1e6);
     std::printf("%-26s %10.1f ms chase  %8.1f ms recovery  %zu rebuilds\n",
                 key.c_str(), ms, stats.recovery_ms, stats.rebuilds);
   }

@@ -34,8 +34,8 @@ void Atom::CollectVariables(std::vector<Term>* out) const {
   }
 }
 
-void Atom::CollectGroundTerms(std::vector<Term>* out) const {
-  for (Term t : args_) {
+void CollectGroundTerms(std::span<const Term> args, std::vector<Term>* out) {
+  for (Term t : args) {
     if (t.IsGround() &&
         std::find(out->begin(), out->end(), t) == out->end()) {
       out->push_back(t);
@@ -85,7 +85,7 @@ std::vector<Term> VariablesOf(const std::vector<Atom>& atoms) {
 
 std::vector<Term> GroundTermsOf(const std::vector<Atom>& atoms) {
   std::vector<Term> out;
-  for (const Atom& atom : atoms) atom.CollectGroundTerms(&out);
+  for (const Atom& atom : atoms) CollectGroundTerms(atom.args(), &out);
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,10 @@
 #include "base/term.h"
 
 namespace gqe {
+
+/// Appends the distinct ground terms (constants and nulls) of `args` to
+/// `out` that it does not hold yet, in order of first occurrence.
+void CollectGroundTerms(std::span<const Term> args, std::vector<Term>* out);
 
 /// An atom R(t1,...,tn): a predicate applied to terms (paper, Section 2).
 /// Atoms over constants/nulls only are *facts* and populate instances;
@@ -36,8 +41,6 @@ class Atom {
   /// first occurrence, no duplicates against the existing contents).
   void CollectVariables(std::vector<Term>* out) const;
 
-  /// Appends the distinct ground terms (constants and nulls) to `out`.
-  void CollectGroundTerms(std::vector<Term>* out) const;
 
   /// True if every term in `terms` occurs in this atom. Used for guard
   /// checks.

@@ -1,5 +1,6 @@
 #include "base/fact_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gqe {
@@ -53,12 +54,9 @@ FactStore& FactStore::operator=(FactStore&& other) noexcept {
   return *this;
 }
 
-uint64_t FactStore::HashFact(PredicateId pred, const Term* args,
-                             size_t arity) {
+uint64_t FactStore::HashFact(PredicateId pred, std::span<const Term> args) {
   uint64_t h = HashShuffle(0x9e3779b97f4a7c15ULL ^ pred);
-  for (size_t i = 0; i < arity; ++i) {
-    h = HashShuffle(h ^ args[i].bits());
-  }
+  for (Term t : args) h = HashShuffle(h ^ t.bits());
   return h;
 }
 
@@ -71,14 +69,14 @@ bool FactStore::EqualsRef(uint32_t id, const FactRef& ref) const {
                      ref.arity * sizeof(Term)) == 0;
 }
 
-std::pair<uint32_t, bool> FactStore::InsertUnique(PredicateId pred,
-                                                  const Term* args,
-                                                  uint32_t arity) {
-  FactRef ref{pred, args, arity, HashFact(pred, args, arity)};
+std::pair<uint32_t, bool> FactStore::InsertUnique(
+    PredicateId pred, std::span<const Term> args) {
+  const FactRef ref{pred, args.data(), static_cast<uint32_t>(args.size()),
+                    HashFact(pred, args)};
   auto [slot, fresh] = index_.InsertWith(ref, [&]() {
     const uint32_t new_id = static_cast<uint32_t>(preds_.size());
     preds_.push_back(pred);
-    args_.insert(args_.end(), args, args + arity);
+    args_.insert(args_.end(), args.begin(), args.end());
     offsets_.push_back(static_cast<uint32_t>(args_.size()));
     hashes_.push_back(ref.hash);
     return new_id;
@@ -86,14 +84,18 @@ std::pair<uint32_t, bool> FactStore::InsertUnique(PredicateId pred,
   return {*slot, fresh};
 }
 
-int64_t FactStore::Find(PredicateId pred, const Term* args,
-                        uint32_t arity) const {
-  FactRef ref{pred, args, arity, HashFact(pred, args, arity)};
+int64_t FactStore::Find(PredicateId pred, std::span<const Term> args) const {
+  const FactRef ref{pred, args.data(), static_cast<uint32_t>(args.size()),
+                    HashFact(pred, args)};
   const uint32_t* slot = index_.find(ref);
   return slot == nullptr ? -1 : static_cast<int64_t>(*slot);
 }
 
 void FactStore::Reserve(size_t facts, size_t terms) {
+  if (facts > preds_.capacity()) {
+    facts = std::max(facts, 2 * preds_.capacity());
+  }
+  if (terms > args_.capacity()) terms = std::max(terms, 2 * args_.capacity());
   preds_.reserve(facts);
   offsets_.reserve(facts + 1);
   args_.reserve(terms);

@@ -34,17 +34,17 @@ class FactStore {
   /// Content hash of a fact (predicate + argument bits), the key of the
   /// dedup index. Deterministic across runs and processes modulo the
   /// interner's id assignment.
-  static uint64_t HashFact(PredicateId pred, const Term* args, size_t arity);
+  static uint64_t HashFact(PredicateId pred, std::span<const Term> args);
 
   /// Appends the fact if it is not already present. Returns {id, fresh}.
-  std::pair<uint32_t, bool> InsertUnique(PredicateId pred, const Term* args,
-                                         uint32_t arity);
+  std::pair<uint32_t, bool> InsertUnique(PredicateId pred,
+                                         std::span<const Term> args);
 
   /// Id of the fact, or -1 if absent.
-  int64_t Find(PredicateId pred, const Term* args, uint32_t arity) const;
+  int64_t Find(PredicateId pred, std::span<const Term> args) const;
 
-  bool Contains(PredicateId pred, const Term* args, uint32_t arity) const {
-    return Find(pred, args, arity) >= 0;
+  bool Contains(PredicateId pred, std::span<const Term> args) const {
+    return Find(pred, args) >= 0;
   }
 
   size_t size() const { return preds_.size(); }
@@ -62,7 +62,8 @@ class FactStore {
 
   /// Pre-sizes the columns and the dedup index (e.g. from a workload
   /// fingerprint or a checkpoint's fact count) so the build pays no
-  /// intermediate rehashes.
+  /// intermediate rehashes. Growing a filled store at least doubles its
+  /// fact and term capacity, so per-round calls keep amortized appends.
   void Reserve(size_t facts, size_t terms);
 
   void clear();

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <ostream>
 #include <sstream>
-#include <utility>
 
 namespace gqe {
 
@@ -16,67 +15,63 @@ const std::vector<uint32_t>& EmptyIndexVector() {
 }
 }  // namespace
 
-template <typename AtomRef>
-bool Instance::InsertRow(AtomRef&& atom) {
-  assert(atom.IsGround() && "instances contain only ground atoms");
-  const uint32_t arity = static_cast<uint32_t>(atom.arity());
-  auto [index, fresh] =
-      store_.InsertUnique(atom.predicate(), atom.args().data(), arity);
+bool Instance::Insert(PredicateId pred, std::span<const Term> args) {
+  assert(std::none_of(args.begin(), args.end(),
+                      [](Term t) { return t.IsVariable(); }) &&
+         "instances contain only ground atoms");
+  auto [index, fresh] = store_.InsertUnique(pred, args);
   if (!fresh) return false;
-  assert(index == atoms_.size() && "row store and columnar store diverged");
-  if (atom.predicate() >= by_predicate_.size()) {
-    by_predicate_.resize(atom.predicate() + 1);
-  }
-  std::vector<uint32_t>& preds = by_predicate_[atom.predicate()];
-  if (preds.empty()) pred_order_.push_back(atom.predicate());
+  if (pred >= by_predicate_.size()) by_predicate_.resize(pred + 1);
+  std::vector<uint32_t>& preds = by_predicate_[pred];
+  if (preds.empty()) pred_order_.push_back(pred);
   preds.push_back(index);
-  for (int pos = 0; pos < atom.arity(); ++pos) {
-    Term t = atom.args()[pos];
-    by_position_[MakePosKey(atom.predicate(), pos, t)].push_back(index);
+  for (size_t pos = 0; pos < args.size(); ++pos) {
+    const Term t = args[pos];
+    by_position_[MakePosKey(pred, static_cast<int>(pos), t)].push_back(index);
     if (domain_set_.insert(t).second) domain_.push_back(t);
     std::vector<uint32_t>& mentions = by_term_[t];
     if (mentions.empty() || mentions.back() != index) {
       mentions.push_back(index);
     }
   }
-  // Last, so the indexing above still reads a not-yet-moved `atom`.
-  atoms_.push_back(std::forward<AtomRef>(atom));
   return true;
 }
-
-bool Instance::Insert(const Atom& atom) { return InsertRow(atom); }
-
-bool Instance::Insert(Atom&& atom) { return InsertRow(std::move(atom)); }
 
 void Instance::InsertAll(const Instance& other) {
   Reserve(size() + other.size(), store_.term_column().size() +
                                      other.store_.term_column().size());
-  for (const Atom& atom : other.atoms()) Insert(atom);
+  for (uint32_t i = 0; i < other.size(); ++i) {
+    Insert(other.predicate_of(i), other.args_of(i));
+  }
 }
 
 void Instance::InsertAll(const std::vector<Atom>& atoms) {
   for (const Atom& atom : atoms) Insert(atom);
 }
 
+Atom Instance::atom(size_t index) const {
+  const std::span<const Term> args = args_of(index);
+  return Atom(predicate_of(index), {args.begin(), args.end()});
+}
+
+std::vector<Atom> Instance::atoms() const {
+  std::vector<Atom> out;
+  out.reserve(size());
+  for (size_t i = 0; i < size(); ++i) out.push_back(atom(i));
+  return out;
+}
+
 bool Instance::Contains(const Atom& atom) const {
-  return store_.Contains(atom.predicate(), atom.args().data(),
-                         static_cast<uint32_t>(atom.arity()));
+  return store_.Contains(atom.predicate(), atom.args());
 }
 
 int64_t Instance::Find(const Atom& atom) const {
-  return store_.Find(atom.predicate(), atom.args().data(),
-                     static_cast<uint32_t>(atom.arity()));
+  return store_.Find(atom.predicate(), atom.args());
 }
 
 void Instance::Reserve(size_t facts, size_t terms) {
   // dom(I) never outgrows the instance's argument positions.
   domain_set_.reserve(terms);
-  if (facts > atoms_.capacity()) {
-    facts = std::max(facts, 2 * atoms_.capacity());
-  }
-  const size_t term_capacity = store_.term_column().capacity();
-  if (terms > term_capacity) terms = std::max(terms, 2 * term_capacity);
-  atoms_.reserve(facts);
   store_.Reserve(facts, terms);
 }
 
@@ -98,15 +93,12 @@ Instance Instance::Restrict(const std::vector<Term>& keep) const {
   FlatSet<Term> keep_set(keep.size());
   for (Term t : keep) keep_set.insert(t);
   Instance out;
-  for (uint32_t i = 0; i < atoms_.size(); ++i) {
-    bool all = true;
-    for (Term t : store_.args(i)) {
-      if (!keep_set.contains(t)) {
-        all = false;
-        break;
-      }
+  for (uint32_t i = 0; i < size(); ++i) {
+    const std::span<const Term> args = store_.args(i);
+    if (std::all_of(args.begin(), args.end(),
+                    [&](Term t) { return keep_set.contains(t); })) {
+      out.Insert(store_.predicate(i), args);
     }
-    if (all) out.Insert(atoms_[i]);
   }
   return out;
 }
@@ -130,32 +122,27 @@ std::vector<Atom> Instance::AtomsOver(const std::vector<Term>& elements) const {
   // 0-ary facts have empty domains and belong in every restriction.
   for (PredicateId pred : pred_order_) {
     if (predicates::Arity(pred) == 0) {
-      for (uint32_t index : by_predicate_[pred]) out.push_back(atoms_[index]);
+      for (uint32_t index : by_predicate_[pred]) out.push_back(atom(index));
     }
   }
   for (Term e : elements) {
     for (uint32_t index : FactsMentioning(e)) {
       if (!seen.insert(index).second) continue;
-      bool inside = true;
-      for (Term t : store_.args(index)) {
-        if (!element_set.contains(t)) {
-          inside = false;
-          break;
-        }
+      const std::span<const Term> args = store_.args(index);
+      if (std::all_of(args.begin(), args.end(),
+                      [&](Term t) { return element_set.contains(t); })) {
+        out.push_back(atom(index));
       }
-      if (inside) out.push_back(atoms_[index]);
     }
   }
   return out;
 }
 
-bool Instance::SetEquals(const Instance& other) const {
-  return size() == other.size() && SubsetOf(other);
-}
-
 bool Instance::SubsetOf(const Instance& other) const {
-  for (const Atom& atom : atoms_) {
-    if (!other.Contains(atom)) return false;
+  for (uint32_t i = 0; i < size(); ++i) {
+    if (!other.store_.Contains(store_.predicate(i), store_.args(i))) {
+      return false;
+    }
   }
   return true;
 }
@@ -168,7 +155,7 @@ uint64_t Instance::IndexRehashes() const {
 std::string Instance::ToString() const {
   std::ostringstream out;
   out << "{";
-  std::vector<Atom> sorted = atoms_;
+  std::vector<Atom> sorted = atoms();
   std::sort(sorted.begin(), sorted.end());
   for (size_t i = 0; i < sorted.size(); ++i) {
     if (i > 0) out << ", ";

@@ -20,12 +20,12 @@ namespace gqe {
 /// for join seeding (paper, Section 2: instances contain only constants —
 /// here constants and labelled nulls).
 ///
-/// Storage is two-layer: the row store `atoms()` keeps whole Atoms in
-/// insertion order (the canonical order every serialization and merge
-/// depends on), and a columnar FactStore mirrors the same facts as
-/// struct-of-arrays columns for cache-friendly scans and open-addressing
-/// duplicate checks. Fact indices are shared between the layers: index i
-/// in `atoms()` is fact id i in the store.
+/// Every fact is stored once, as a row of the columnar FactStore
+/// (struct-of-arrays predicate and Term columns plus an open-addressing
+/// dedup index). Fact ids are dense and assigned in insertion order, the
+/// canonical order every serialization and merge depends on. Hot loops
+/// read `predicate_of(i)` / `args_of(i)` spans; `atom(i)` and `atoms()`
+/// build owned Atoms on demand for callers that store one.
 ///
 /// A *database* is a finite instance; this class represents both (all
 /// in-memory instances are finite portions).
@@ -33,14 +33,13 @@ class Instance {
  public:
   Instance() = default;
 
-  /// Inserts a fact. Returns true if the fact was new. Aborts in debug
-  /// builds if the atom contains variables.
-  bool Insert(const Atom& atom);
-
-  /// As Insert(const Atom&), but a new fact's argument vector is moved
-  /// into the row store instead of copied. A duplicate returns false and
-  /// leaves `atom` untouched.
-  bool Insert(Atom&& atom);
+  /// Inserts the fact pred(args). Returns true if the fact was new.
+  /// Aborts in debug builds if an argument is a variable. `args` must not
+  /// point into this instance's own columns (an insert may grow them).
+  bool Insert(PredicateId pred, std::span<const Term> args);
+  bool Insert(const Atom& atom) {
+    return Insert(atom.predicate(), atom.args());
+  }
 
   /// Inserts all facts of another instance.
   void InsertAll(const Instance& other);
@@ -52,29 +51,30 @@ class Instance {
   /// replacement for `Contains` + a separate index lookup on hot paths.
   int64_t Find(const Atom& atom) const;
 
-  size_t size() const { return atoms_.size(); }
-  bool empty() const { return atoms_.empty(); }
+  size_t size() const { return store_.size(); }
+  bool empty() const { return store_.empty(); }
 
-  /// All facts, in insertion order. Indices into this vector are stable.
-  const std::vector<Atom>& atoms() const { return atoms_; }
-  const Atom& atom(size_t index) const { return atoms_[index]; }
-
-  /// Columnar accessors: predicate and argument span of fact `index`
-  /// without touching the row store (one contiguous Term column).
-  PredicateId predicate_of(uint32_t index) const {
-    return store_.predicate(index);
+  /// Predicate and argument span of fact `index` (fact ids are stable;
+  /// a span is valid only until the next insert into this instance).
+  PredicateId predicate_of(size_t index) const {
+    return store_.predicate(static_cast<uint32_t>(index));
   }
-  std::span<const Term> args_of(uint32_t index) const {
-    return store_.args(index);
+  std::span<const Term> args_of(size_t index) const {
+    return store_.args(static_cast<uint32_t>(index));
   }
 
-  /// The columnar mirror itself (read-only).
+  /// Fact `index` as an owned Atom (one O(arity) allocation), and all
+  /// facts as owned Atoms in insertion order (O(n) allocations). Neither
+  /// is for hot loops; those read the spans.
+  Atom atom(size_t index) const;
+  std::vector<Atom> atoms() const;
+
+  /// The fact columns (read-only).
   const FactStore& store() const { return store_; }
 
-  /// Pre-sizes all layers for `facts` facts holding `terms` argument
-  /// positions in total (workload fingerprint / checkpoint header hint).
-  /// Growing an already-filled instance at least doubles the row and
-  /// column capacity, so per-round calls keep amortized appends.
+  /// Pre-sizes the columns for `facts` facts holding `terms` argument
+  /// positions in total (workload fingerprint / checkpoint header hint),
+  /// at least doubling a filled instance's capacity (FactStore::Reserve).
   void Reserve(size_t facts, size_t terms);
 
   /// Indices of facts with the given predicate.
@@ -104,9 +104,6 @@ class Instance {
   /// All facts whose terms are all contained in `elements`.
   std::vector<Atom> AtomsOver(const std::vector<Term>& elements) const;
 
-  /// Structural equality as sets of facts.
-  bool SetEquals(const Instance& other) const;
-
   /// True if every fact of this instance is a fact of `other`.
   bool SubsetOf(const Instance& other) const;
 
@@ -125,14 +122,7 @@ class Instance {
            (static_cast<uint64_t>(position & 0xff) << 32) | term.bits();
   }
 
-  /// The body of both Insert overloads: dedups through the columnar
-  /// store, posts a new fact into the inverted indexes, then copies or
-  /// moves it into the row store.
-  template <typename AtomRef>
-  bool InsertRow(AtomRef&& atom);
-
-  std::vector<Atom> atoms_;  // row store: canonical insertion order
-  FactStore store_;          // columnar mirror + open-addressing dedup
+  FactStore store_;  // the facts, in insertion order, + dedup index
   // Dense per-predicate postings (predicate ids are small and dense);
   // pred_order_ records first appearance for deterministic iteration.
   std::vector<std::vector<uint32_t>> by_predicate_;

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <span>
 
 #include "base/interner.h"
 #include "base/schema.h"
@@ -31,6 +32,15 @@ const uint32_t* Crc32Table() {
     return table;
   }();
   return kTable;
+}
+
+// One fact of a fact sequence: predicate id, arity, argument bits. The
+// only place the per-fact layout is written.
+void EncodeFact(PredicateId pred, std::span<const Term> args,
+                BinaryWriter* writer) {
+  writer->WriteU32(pred);
+  writer->WriteU32(static_cast<uint32_t>(args.size()));
+  for (Term t : args) writer->WriteU32(t.bits());
 }
 
 }  // namespace
@@ -429,9 +439,7 @@ SnapshotStatus DecodeInterner(BinaryReader* reader) {
 void EncodeAtomVector(const std::vector<Atom>& atoms, BinaryWriter* writer) {
   writer->WriteU64(atoms.size());
   for (const Atom& atom : atoms) {
-    writer->WriteU32(atom.predicate());
-    writer->WriteU32(static_cast<uint32_t>(atom.arity()));
-    for (Term t : atom.args()) writer->WriteU32(t.bits());
+    EncodeFact(atom.predicate(), atom.args(), writer);
   }
 }
 
@@ -495,7 +503,10 @@ SnapshotStatus DecodeAtomVector(BinaryReader* reader,
 }
 
 void EncodeInstance(const Instance& instance, BinaryWriter* writer) {
-  EncodeAtomVector(instance.atoms(), writer);
+  writer->WriteU64(instance.size());
+  for (uint32_t i = 0; i < instance.size(); ++i) {
+    EncodeFact(instance.predicate_of(i), instance.args_of(i), writer);
+  }
 }
 
 SnapshotStatus DecodeInstance(BinaryReader* reader, Instance* out) {

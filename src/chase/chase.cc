@@ -291,9 +291,8 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         // no heap vector) is materialized per body atom.
         image_scratch.clear();
         for (Term a : body_atom.args()) image_scratch.push_back(sub.Apply(a));
-        const int64_t index = result.instance.store().Find(
-            body_atom.predicate(), image_scratch.data(),
-            static_cast<uint32_t>(image_scratch.size()));
+        const int64_t index =
+            result.instance.store().Find(body_atom.predicate(), image_scratch);
         if (index >= 0) level = std::max(level, levels[index]);
       }
       pending.push_back({t, std::move(sub), level});
@@ -437,25 +436,26 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     // semantics.
     bool budget_hit = false;
     Status abort_status = Status::kCompleted;
-    std::vector<std::pair<Atom, int>> staged;
-    FlatSet<Atom, AtomHash> staged_set;
+    // Staged head facts, deduplicated in their own columns. Only
+    // min_level triggers fire, so every staged fact has level min_level+1.
+    FactStore staged;
+    std::vector<Term> head_args;
     size_t round_fired = 0;
     // An aborted (discarded) round truncates the witness logs back here
     // so the derivation log only ever describes committed facts.
     const size_t round_log_start = fired_log.size();
     auto commit_staged = [&]() {
       if (staged.empty()) return;
-      size_t staged_terms = 0;
-      for (const auto& [fact, level] : staged) staged_terms += fact.arity();
-      result.instance.Reserve(
-          result.instance.size() + staged.size(),
-          result.instance.store().term_column().size() + staged_terms);
-      for (auto& [fact, level] : staged) {
-        if (result.instance.Insert(std::move(fact))) levels.push_back(level);
-        result.max_level_built = std::max(result.max_level_built, level);
+      result.instance.Reserve(result.instance.size() + staged.size(),
+                              result.instance.store().term_column().size() +
+                                  staged.term_column().size());
+      for (uint32_t i = 0; i < staged.size(); ++i) {
+        if (result.instance.Insert(staged.predicate(i), staged.args(i))) {
+          levels.push_back(min_level + 1);
+        }
       }
+      result.max_level_built = std::max(result.max_level_built, min_level + 1);
       staged.clear();
-      staged_set.clear();
     };
     for (PendingTrigger& trigger : pending) {
       if (trigger.level != min_level) {
@@ -490,8 +490,11 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       }
       if (collecting) null_log.push_back(std::move(drawn));
       for (const Atom& head_atom : tgd.head()) {
-        Atom fact = extended.Apply(head_atom);
-        if (result.instance.Contains(fact) || staged_set.count(fact) > 0) {
+        const PredicateId pred = head_atom.predicate();
+        head_args.clear();
+        for (Term a : head_atom.args()) head_args.push_back(extended.Apply(a));
+        if (result.instance.store().Contains(pred, head_args) ||
+            staged.Contains(pred, head_args)) {
           continue;
         }
         const Status charged = governor->ChargeFacts(1);
@@ -506,8 +509,7 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
           }
           break;
         }
-        staged_set.insert(fact);
-        staged.emplace_back(std::move(fact), trigger.level + 1);
+        staged.InsertUnique(pred, head_args);
       }
       if (abort_status != Status::kCompleted) {
         --round_fired;  // this trigger's facts are discarded below
@@ -520,7 +522,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       // Discard the staged partial round (already-flushed restricted-mode
       // triggers stay; restricted rounds are per-trigger transactional).
       staged.clear();
-      staged_set.clear();
       if (collecting) {
         fired_log.resize(round_log_start);
         null_log.resize(round_log_start);
@@ -645,7 +646,8 @@ ChaseResult ResumeChaseFromState(const ChaseCheckpointState& state,
 Instance ChaseResult::UpToLevel(int level) const {
   Instance out;
   for (size_t i = 0; i < levels.size(); ++i) {
-    if (levels[i] <= level) out.Insert(instance.atom(i));
+    if (levels[i] > level) continue;
+    out.Insert(instance.predicate_of(i), instance.args_of(i));
   }
   return out;
 }

@@ -221,7 +221,7 @@ struct ChaseResult {
   Instance instance;
 
   /// Lemma A.1 s-level of every fact (level-wise chase sequence),
-  /// parallel to `instance.atoms()`: levels[i] is the level of fact i.
+  /// parallel to the instance's fact ids: levels[i] is the level of fact i.
   /// Look a fact's level up as levels[instance.Find(atom)].
   std::vector<int32_t> levels;
 

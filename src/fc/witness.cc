@@ -74,9 +74,9 @@ FiniteWitness BuildFiniteWitness(const Instance& db, const TgdSet& sigma,
   std::unordered_set<std::string> roots_seen;
   const int blocking_repeats = n + 1;
 
-  for (const Atom& atom : portion.atoms()) {
+  for (uint32_t f = 0; f < portion.size(); ++f) {
     std::vector<Term> elements;
-    atom.CollectGroundTerms(&elements);
+    CollectGroundTerms(portion.args_of(f), &elements);
     std::string root_key;
     for (Term t : elements) root_key += std::to_string(t.bits()) + ",";
     if (!roots_seen.insert(root_key).second) continue;
@@ -233,9 +233,9 @@ OmqToCqsReduction ReduceOmqToCqs(const Omq& omq, const Instance& db,
 
   // A: the maximal guarded tuples of D⁺.
   std::vector<std::vector<Term>> guarded_sets;
-  for (const Atom& atom : dplus.atoms()) {
+  for (uint32_t f = 0; f < dplus.size(); ++f) {
     std::vector<Term> elements;
-    atom.CollectGroundTerms(&elements);
+    CollectGroundTerms(dplus.args_of(f), &elements);
     std::sort(elements.begin(), elements.end());
     if (std::find(guarded_sets.begin(), guarded_sets.end(), elements) ==
         guarded_sets.end()) {

@@ -95,9 +95,9 @@ ChaseTree BuildChaseTree(const Instance& db, const TgdSet& sigma,
   // Root bags: one per ground fact (its guarded set).
   std::deque<int> queue;
   std::unordered_set<std::string> root_seen;
-  for (const Atom& atom : tree.portion.atoms()) {
+  for (uint32_t f = 0; f < tree.portion.size(); ++f) {
     std::vector<Term> elements;
-    atom.CollectGroundTerms(&elements);
+    CollectGroundTerms(tree.portion.args_of(f), &elements);
     std::vector<Atom> bag_atoms = tree.portion.AtomsOver(elements);
     std::string key = ShapeKey(bag_atoms, elements);
     // Deduplicate root bags over identical element sets.

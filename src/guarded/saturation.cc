@@ -17,14 +17,14 @@ Instance GroundSaturation(const Instance& db, const TgdSet& sigma,
   bool changed = true;
   while (changed) {
     changed = false;
-    // Iterate a snapshot: inserting invalidates nothing in atoms() (it is
-    // append-only), but we only close the bags of the facts present at
-    // the start of the round; new facts get their bags next round.
+    // Fact ids are append-only, but we only close the bags of the facts
+    // present at the start of the round; new facts get their bags next
+    // round. The guard's elements are copied out of its span before any
+    // insert can grow the columns.
     const size_t snapshot_size = ground.size();
     for (size_t i = 0; i < snapshot_size; ++i) {
-      const Atom guard = ground.atom(i);
       std::vector<Term> elements;
-      guard.CollectGroundTerms(&elements);
+      CollectGroundTerms(ground.args_of(i), &elements);
       // Bag: all current ground atoms over the guard's elements.
       std::vector<Atom> bag_atoms = ground.AtomsOver(elements);
       for (const Atom& atom : engine->Closure(bag_atoms, elements)) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <unordered_set>
 
 #include "query/homomorphism.h"
@@ -159,16 +160,15 @@ bool TypeClosureEngine::ProcessEntry(const std::string& key) {
         child_atoms.push_back(extended.Apply(head_atom));
       }
       // The child inherits every known atom over the frontier images.
-      for (const Atom& atom : entries_.at(key).closure.atoms()) {
-        bool inside = true;
-        for (Term t : atom.args()) {
-          if (std::find(frontier_images.begin(), frontier_images.end(), t) ==
-              frontier_images.end()) {
-            inside = false;
-            break;
-          }
+      const Instance& closure = entries_.at(key).closure;
+      for (uint32_t f = 0; f < closure.size(); ++f) {
+        const std::span<const Term> args = closure.args_of(f);
+        if (std::all_of(args.begin(), args.end(), [&](Term t) {
+              return std::find(frontier_images.begin(), frontier_images.end(),
+                               t) != frontier_images.end();
+            })) {
+          child_atoms.push_back(closure.atom(f));
         }
-        if (inside) child_atoms.push_back(atom);
       }
       std::vector<Term> child_order;
       const std::string child_key =
@@ -181,16 +181,14 @@ bool TypeClosureEngine::ProcessEntry(const std::string& key) {
         back.Set(Placeholder(static_cast<int>(i)), child_order[i]);
       }
       std::vector<Atom> pulled_atoms;
-      for (const Atom& atom : entries_.at(child_key).closure.atoms()) {
-        Atom pulled = back.Apply(atom);
-        bool over_parent = true;
-        for (Term t : pulled.args()) {
-          if (parent_set.count(t) == 0) {
-            over_parent = false;
-            break;
-          }
+      const Instance& child = entries_.at(child_key).closure;
+      for (uint32_t f = 0; f < child.size(); ++f) {
+        const std::span<const Term> args = child.args_of(f);
+        if (std::all_of(args.begin(), args.end(), [&](Term t) {
+              return parent_set.count(back.Apply(t)) > 0;
+            })) {
+          pulled_atoms.push_back(back.Apply(child.predicate_of(f), args));
         }
-        if (over_parent) pulled_atoms.push_back(std::move(pulled));
       }
       Entry& parent = entries_.at(key);
       for (const Atom& atom : pulled_atoms) {
@@ -236,8 +234,9 @@ std::vector<Atom> TypeClosureEngine::Closure(
   }
   std::vector<Atom> result;
   result.reserve(entry.closure.size());
-  for (const Atom& atom : entry.closure.atoms()) {
-    result.push_back(back.Apply(atom));
+  for (uint32_t f = 0; f < entry.closure.size(); ++f) {
+    result.push_back(
+        back.Apply(entry.closure.predicate_of(f), entry.closure.args_of(f)));
   }
   return result;
 }

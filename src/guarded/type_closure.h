@@ -50,7 +50,6 @@ class TypeClosureEngine {
     std::vector<Atom> base_atoms;    // canonical atoms (over placeholders)
     Instance closure;                // current closure (over placeholders)
     int num_elements = 0;
-    bool dirty = true;
   };
 
   /// Canonicalizes a bag: renames `elements` to placeholders minimizing
@@ -66,10 +65,10 @@ class TypeClosureEngine {
                         std::vector<Term>* order);
 
   /// Applies all TGDs to one entry; returns true if its closure grew.
-  /// May create new (dirty) entries for child bags.
+  /// May create new entries for child bags.
   bool ProcessEntry(const std::string& key);
 
-  /// Runs rounds over all dirty entries until global fixpoint.
+  /// Runs rounds over all entries until global fixpoint.
   void FixpointAll();
 
   const TgdSet& sigma_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -16,9 +17,9 @@ namespace {
 /// facts.
 std::vector<std::vector<Term>> GuardedSets(const Instance& db) {
   std::set<std::vector<Term>> sets;
-  for (const Atom& atom : db.atoms()) {
+  for (uint32_t f = 0; f < db.size(); ++f) {
     std::vector<Term> elements;
-    atom.CollectGroundTerms(&elements);
+    CollectGroundTerms(db.args_of(f), &elements);
     std::sort(elements.begin(), elements.end());
     sets.insert(elements);
   }
@@ -38,7 +39,7 @@ void EmitNodeAtoms(const Instance& db, const UnravelNode& node,
     std::vector<Term> args;
     args.reserve(fact.args().size());
     for (Term t : fact.args()) args.push_back(node.copy.at(t));
-    out->Insert(Atom(fact.predicate(), args));
+    out->Insert(fact.predicate(), args);
   }
   if (to_original != nullptr) {
     for (const auto& [original, copy] : node.copy) {
@@ -106,9 +107,9 @@ Instance KUnraveling(const Instance& db, const std::vector<Term>& anchors,
   // Bags: maximal (≤ k+1)-subsets of fact domains (so every fact fits in
   // some bag up to truncation).
   std::set<std::vector<Term>> bag_set;
-  for (const Atom& atom : db.atoms()) {
+  for (uint32_t f = 0; f < db.size(); ++f) {
     std::vector<Term> elements;
-    atom.CollectGroundTerms(&elements);
+    CollectGroundTerms(db.args_of(f), &elements);
     std::sort(elements.begin(), elements.end());
     if (static_cast<int>(elements.size()) <= k + 1) {
       bag_set.insert(elements);
@@ -185,27 +186,25 @@ DiversifyResult DiversifyDatabase(const Instance& db, const Omq& query,
     changed = false;
     // Count occurrences of each constant across (atom, position) slots.
     std::unordered_map<Term, int> occurrences;
-    for (const Atom& atom : current.atoms()) {
-      for (Term t : atom.args()) ++occurrences[t];
-    }
-    const std::vector<Atom> snapshot = current.atoms();
-    for (size_t a = 0; a < snapshot.size() && !changed; ++a) {
-      const Atom& atom = snapshot[a];
-      for (int pos = 0; pos < atom.arity(); ++pos) {
-        Term t = atom.args()[pos];
+    for (Term t : current.store().term_column()) ++occurrences[t];
+    for (uint32_t a = 0; a < current.size() && !changed; ++a) {
+      // Read only until `current` is replaced, right before the break.
+      const std::span<const Term> atom_args = current.args_of(a);
+      for (size_t pos = 0; pos < atom_args.size(); ++pos) {
+        Term t = atom_args[pos];
         if (protect_set.count(t) > 0 || occurrences[t] <= 1) continue;
         // Candidate: split this occurrence off onto a fresh constant.
         Instance candidate;
         Term fresh = Term::Constant("_dv" + std::to_string(result.splits) +
                                     "_" + t.ToString());
-        for (size_t b = 0; b < snapshot.size(); ++b) {
+        for (uint32_t b = 0; b < current.size(); ++b) {
           if (b != a) {
-            candidate.Insert(snapshot[b]);
+            candidate.Insert(current.predicate_of(b), current.args_of(b));
             continue;
           }
-          std::vector<Term> args = snapshot[b].args();
+          std::vector<Term> args(atom_args.begin(), atom_args.end());
           args[pos] = fresh;
-          candidate.Insert(Atom(snapshot[b].predicate(), args));
+          candidate.Insert(current.predicate_of(b), args);
         }
         if (OmqHolds(query, candidate, {})) {
           current = std::move(candidate);

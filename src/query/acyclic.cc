@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -99,12 +100,12 @@ std::optional<bool> HoldsAcyclicCq(const CQ& cq, const Instance& db,
     const Atom& atom = atoms[i];
     atom.CollectVariables(&var_lists[i]);
     for (uint32_t fact_index : db.FactsWithPredicate(atom.predicate())) {
-      const Atom& fact = db.atom(fact_index);
+      const std::span<const Term> fact_args = db.args_of(fact_index);
       Substitution binding;
       bool ok = true;
       for (int pos = 0; pos < atom.arity() && ok; ++pos) {
         Term t = atom.args()[pos];
-        Term image = fact.args()[pos];
+        Term image = fact_args[pos];
         if (t.IsGround()) {
           ok = (t == image);
         } else if (binding.Has(t)) {

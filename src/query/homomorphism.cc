@@ -244,10 +244,11 @@ std::vector<Atom> PatternFromInstance(
   std::unordered_map<Term, Term> to_var;
   std::vector<Atom> pattern;
   pattern.reserve(from.size());
-  for (const Atom& fact : from.atoms()) {
+  for (uint32_t i = 0; i < from.size(); ++i) {
+    const std::span<const Term> fact_args = from.args_of(i);
     std::vector<Term> args;
-    args.reserve(fact.args().size());
-    for (Term t : fact.args()) {
+    args.reserve(fact_args.size());
+    for (Term t : fact_args) {
       if (fixed_set.count(t) > 0) {
         args.push_back(t);
         continue;
@@ -258,7 +259,7 @@ std::vector<Atom> PatternFromInstance(
       }
       args.push_back(it->second);
     }
-    pattern.push_back(Atom(fact.predicate(), std::move(args)));
+    pattern.push_back(Atom(from.predicate_of(i), std::move(args)));
   }
   if (element_to_var != nullptr) *element_to_var = std::move(to_var);
   return pattern;

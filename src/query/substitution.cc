@@ -4,11 +4,11 @@
 
 namespace gqe {
 
-Atom Substitution::Apply(const Atom& atom) const {
-  std::vector<Term> args;
-  args.reserve(atom.args().size());
-  for (Term t : atom.args()) args.push_back(Apply(t));
-  return Atom(atom.predicate(), std::move(args));
+Atom Substitution::Apply(PredicateId pred, std::span<const Term> args) const {
+  std::vector<Term> image;
+  image.reserve(args.size());
+  for (Term t : args) image.push_back(Apply(t));
+  return Atom(pred, std::move(image));
 }
 
 std::vector<Atom> Substitution::Apply(const std::vector<Atom>& atoms) const {

@@ -1,6 +1,7 @@
 #ifndef GQE_QUERY_SUBSTITUTION_H_
 #define GQE_QUERY_SUBSTITUTION_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,7 +48,11 @@ class Substitution {
     return t;
   }
 
-  Atom Apply(const Atom& atom) const;
+  Atom Apply(const Atom& atom) const {
+    return Apply(atom.predicate(), atom.args());
+  }
+  /// The image of the fact pred(args), e.g. a stored fact's span.
+  Atom Apply(PredicateId pred, std::span<const Term> args) const;
   std::vector<Atom> Apply(const std::vector<Atom>& atoms) const;
   std::vector<Term> Apply(const std::vector<Term>& terms) const;
 

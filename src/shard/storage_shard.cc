@@ -69,8 +69,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 /// index and a worker holding a decoded atom always agree.
 uint32_t OwnerOfAtom(const Atom& atom, uint32_t num_shards) {
   return ShardOfContentHash(
-      FactStore::HashFact(atom.predicate(), atom.args().data(),
-                          atom.args().size()),
+      FactStore::HashFact(atom.predicate(), atom.args()),
       num_shards);
 }
 
@@ -774,7 +773,9 @@ uint64_t WriteFragmentCheckpoint(const WorkerState& state, uint32_t shard,
   file.delta_start = state.delta_start;
   file.delta_end = state.delta_end;
   file.indexes = state.to_global;
-  file.atoms = state.fragment.atoms();
+  for (size_t i = 0; i < state.fragment.size(); ++i) {
+    file.atoms.push_back(state.fragment.atom(i));
+  }
   file.frontier = state.frontier;
   const SnapshotStatus status = WriteFileAtomic(
       FragmentPath(shard_dir, state.boundary), EncodeStorageFragmentFile(file));
@@ -1431,8 +1432,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
       UnitFactShape shape;
       if (!ClassifyUnitFact(
               (*round.tgds)[unit.tgd_index], unit.anchor,
-              instance.predicate_of(static_cast<uint32_t>(group.fact_index)),
-              instance.args_of(static_cast<uint32_t>(group.fact_index)),
+              instance.predicate_of(group.fact_index),
+              instance.args_of(group.fact_index),
               &shape)) {
         return false;
       }
@@ -1456,11 +1457,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
           if (ShardOfFact(instance, side, layout_) != shard) return false;
           Substitution probe = shape.anchor_sub;
           if (!BindDiscoveryAnchor(shape.free_pattern,
-                                   instance.predicate_of(
-                                       static_cast<uint32_t>(side)),
-                                   instance.args_of(
-                                       static_cast<uint32_t>(side)),
-                                   &probe)) {
+                                   instance.predicate_of(side),
+                                   instance.args_of(side), &probe)) {
             return false;
           }
         }
@@ -1611,8 +1609,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         const bool matches =
             need_shape &&
             ClassifyUnitFact(tgd, unit.anchor,
-                             instance.predicate_of(static_cast<uint32_t>(f)),
-                             instance.args_of(static_cast<uint32_t>(f)),
+                             instance.predicate_of(f), instance.args_of(f),
                              &shape);
         if (!matches || shape.free_sides >= 2) {
           side_scratch_.clear();
@@ -1744,8 +1741,10 @@ bool StorageCoordinator::DiscoverRound(
     return false;
   }
   const Instance& instance = *round.instance;
-  round_delta_.assign(instance.atoms().begin() + round.delta_start,
-                      instance.atoms().begin() + round.delta_end);
+  round_delta_.clear();
+  for (uint64_t g = round.delta_start; g < round.delta_end; ++g) {
+    round_delta_.push_back(instance.atom(g));
+  }
   if (stats_ != nullptr) stats_->shipped_facts += round_delta_.size();
   // Durable exchange log first — before any load command, hence before
   // any ack this boundary (satellite: retention-before-ack).

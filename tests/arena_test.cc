@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -154,15 +156,15 @@ TEST(FactStoreTest, InsertUniqueAssignsDenseIds) {
   Atom a = Atom::Make("fs_p", {C(1), C(2)});
   Atom b = Atom::Make("fs_q", {C(3)});
   auto [id_a, fresh_a] =
-      store.InsertUnique(a.predicate(), a.args().data(), 2);
+      store.InsertUnique(a.predicate(), a.args());
   auto [id_b, fresh_b] =
-      store.InsertUnique(b.predicate(), b.args().data(), 1);
+      store.InsertUnique(b.predicate(), b.args());
   EXPECT_TRUE(fresh_a);
   EXPECT_TRUE(fresh_b);
   EXPECT_EQ(id_a, 0u);
   EXPECT_EQ(id_b, 1u);
   auto [id_dup, fresh_dup] =
-      store.InsertUnique(a.predicate(), a.args().data(), 2);
+      store.InsertUnique(a.predicate(), a.args());
   EXPECT_FALSE(fresh_dup);
   EXPECT_EQ(id_dup, id_a);
   EXPECT_EQ(store.size(), 2u);
@@ -178,16 +180,16 @@ TEST(FactStoreTest, InsertUniqueAssignsDenseIds) {
 TEST(FactStoreTest, FindAndZeroArity) {
   FactStore store;
   Atom zero = Atom::Make("fs_flag", {});
-  EXPECT_EQ(store.Find(zero.predicate(), nullptr, 0), -1);
-  auto [id, fresh] = store.InsertUnique(zero.predicate(), nullptr, 0);
+  EXPECT_EQ(store.Find(zero.predicate(), {}), -1);
+  auto [id, fresh] = store.InsertUnique(zero.predicate(), {});
   EXPECT_TRUE(fresh);
-  EXPECT_EQ(store.Find(zero.predicate(), nullptr, 0),
+  EXPECT_EQ(store.Find(zero.predicate(), {}),
             static_cast<int64_t>(id));
   EXPECT_EQ(store.arity(id), 0u);
   EXPECT_TRUE(store.args(id).empty());
   // Same-name different-arity content must not collide.
   Term arg = C(9);
-  EXPECT_EQ(store.Find(zero.predicate(), &arg, 1), -1);
+  EXPECT_EQ(store.Find(zero.predicate(), {&arg, 1}), -1);
 }
 
 TEST(FactStoreTest, HashDistinguishesArgOrder) {
@@ -195,11 +197,11 @@ TEST(FactStoreTest, HashDistinguishesArgOrder) {
   Term xy[] = {x, y};
   Term yx[] = {y, x};
   Atom p = Atom::Make("fs_ord", {x, y});
-  EXPECT_NE(FactStore::HashFact(p.predicate(), xy, 2),
-            FactStore::HashFact(p.predicate(), yx, 2));
+  EXPECT_NE(FactStore::HashFact(p.predicate(), xy),
+            FactStore::HashFact(p.predicate(), yx));
   FactStore store;
-  store.InsertUnique(p.predicate(), xy, 2);
-  EXPECT_EQ(store.Find(p.predicate(), yx, 2), -1);
+  store.InsertUnique(p.predicate(), xy);
+  EXPECT_EQ(store.Find(p.predicate(), yx), -1);
 }
 
 TEST(FactStoreTest, CopyAndMoveKeepIndexWorking) {
@@ -207,8 +209,7 @@ TEST(FactStoreTest, CopyAndMoveKeepIndexWorking) {
   std::vector<Atom> atoms;
   for (int i = 0; i < 200; ++i) {
     atoms.push_back(Atom::Make("fs_cm", {C(i % 50), C(i % 7)}));
-    store.InsertUnique(atoms.back().predicate(), atoms.back().args().data(),
-                       2);
+    store.InsertUnique(atoms.back().predicate(), atoms.back().args());
   }
   FactStore copy(store);
   FactStore assigned;
@@ -217,18 +218,18 @@ TEST(FactStoreTest, CopyAndMoveKeepIndexWorking) {
   // The dedup index of each holds a back-pointer to its own columns; a
   // stale pointer would make these probes misbehave (or crash ASan).
   for (const Atom& atom : atoms) {
-    int64_t want = store.Find(atom.predicate(), atom.args().data(), 2);
+    int64_t want = store.Find(atom.predicate(), atom.args());
     ASSERT_GE(want, 0);
-    EXPECT_EQ(assigned.Find(atom.predicate(), atom.args().data(), 2), want);
-    EXPECT_EQ(moved.Find(atom.predicate(), atom.args().data(), 2), want);
+    EXPECT_EQ(assigned.Find(atom.predicate(), atom.args()), want);
+    EXPECT_EQ(moved.Find(atom.predicate(), atom.args()), want);
   }
   // Inserting after copy/move appends into the right object's columns.
   Atom extra = Atom::Make("fs_cm_x", {C(1), C(2)});
   auto [id, fresh] =
-      moved.InsertUnique(extra.predicate(), extra.args().data(), 2);
+      moved.InsertUnique(extra.predicate(), extra.args());
   EXPECT_TRUE(fresh);
   EXPECT_EQ(moved.predicate(id), extra.predicate());
-  EXPECT_EQ(store.Find(extra.predicate(), extra.args().data(), 2), -1);
+  EXPECT_EQ(store.Find(extra.predicate(), extra.args()), -1);
 }
 
 TEST(FactStoreTest, ReserveAvoidsIndexRehashes) {
@@ -237,7 +238,7 @@ TEST(FactStoreTest, ReserveAvoidsIndexRehashes) {
   uint64_t rehashes = store.index_rehashes();
   for (int i = 0; i < 2000; ++i) {
     Atom atom = Atom::Make("fs_rs", {C(i), C(i + 1)});
-    store.InsertUnique(atom.predicate(), atom.args().data(), 2);
+    store.InsertUnique(atom.predicate(), atom.args());
   }
   EXPECT_EQ(store.index_rehashes(), rehashes);
   EXPECT_EQ(store.size(), 2000u);
@@ -246,17 +247,17 @@ TEST(FactStoreTest, ReserveAvoidsIndexRehashes) {
 TEST(FactStoreTest, ClearThenReuse) {
   FactStore store;
   Atom atom = Atom::Make("fs_cl", {C(4)});
-  store.InsertUnique(atom.predicate(), atom.args().data(), 1);
+  store.InsertUnique(atom.predicate(), atom.args());
   store.clear();
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.Find(atom.predicate(), atom.args().data(), 1), -1);
+  EXPECT_EQ(store.Find(atom.predicate(), atom.args()), -1);
   auto [id, fresh] =
-      store.InsertUnique(atom.predicate(), atom.args().data(), 1);
+      store.InsertUnique(atom.predicate(), atom.args());
   EXPECT_TRUE(fresh);
   EXPECT_EQ(id, 0u);
 }
 
-// ---- The columnar mirror inside Instance ----
+// ---- The FactStore columns inside Instance ----
 
 Instance BuildMixedInstance() {
   Instance db;
@@ -272,16 +273,19 @@ Instance BuildMixedInstance() {
   return db;
 }
 
-TEST(InstanceColumnarTest, RowAndColumnStoresAgree) {
+TEST(InstanceColumnarTest, AtomViewMatchesColumns) {
   Instance db = BuildMixedInstance();
-  ASSERT_EQ(db.store().size(), db.atoms().size());
-  for (uint32_t i = 0; i < db.atoms().size(); ++i) {
-    const Atom& row = db.atoms()[i];
-    EXPECT_EQ(db.predicate_of(i), row.predicate());
-    std::span<const Term> col = db.args_of(i);
-    ASSERT_EQ(col.size(), row.args().size());
-    for (size_t j = 0; j < col.size(); ++j) EXPECT_EQ(col[j], row.args()[j]);
-    EXPECT_EQ(db.Find(row), static_cast<int64_t>(i));
+  ASSERT_EQ(db.store().size(), db.size());
+  const std::vector<Atom> atoms = db.atoms();
+  ASSERT_EQ(atoms.size(), db.size());
+  for (uint32_t i = 0; i < db.size(); ++i) {
+    const Atom atom = db.atom(i);
+    EXPECT_EQ(atom, atoms[i]);
+    EXPECT_EQ(atom.predicate(), db.predicate_of(i));
+    const std::span<const Term> col = db.args_of(i);
+    EXPECT_TRUE(std::equal(col.begin(), col.end(), atom.args().begin(),
+                           atom.args().end()));
+    EXPECT_EQ(db.Find(atom), static_cast<int64_t>(i));
   }
 }
 
@@ -296,9 +300,9 @@ TEST(InstanceColumnarTest, DuplicateInsertRejectedByColumnIndex) {
 }
 
 TEST(InstanceColumnarTest, SerializesIdenticallyThroughCheckpointCodec) {
-  // The snapshot format encodes the atom sequence in insertion order.
+  // The snapshot format encodes the fact sequence in insertion order.
   // Build → encode → decode → re-encode must be byte-identical: the
-  // columnar mirror must not perturb insertion order or term bits.
+  // columns must not perturb insertion order or term bits.
   Instance db = BuildMixedInstance();
   BinaryWriter first;
   EncodeInstance(db, &first);
@@ -314,9 +318,9 @@ TEST(InstanceColumnarTest, SerializesIdenticallyThroughCheckpointCodec) {
   EncodeInstance(decoded, &second);
   EXPECT_EQ(first.buffer(), second.buffer());
 
-  // And the decoded instance's columnar mirror is rebuilt consistently.
-  for (uint32_t i = 0; i < decoded.atoms().size(); ++i) {
-    EXPECT_EQ(decoded.Find(decoded.atoms()[i]), static_cast<int64_t>(i));
+  // And the decoded instance's dedup index is rebuilt consistently.
+  for (uint32_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(decoded.Find(decoded.atom(i)), static_cast<int64_t>(i));
   }
 }
 

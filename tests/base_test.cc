@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "base/atom.h"
@@ -170,9 +169,9 @@ TEST_F(InstanceTest, Restrict) {
 TEST_F(InstanceTest, SubsetAndEquality) {
   Instance copy;
   copy.InsertAll(db_);
-  EXPECT_TRUE(copy.SetEquals(db_));
+  EXPECT_TRUE(copy.SubsetOf(db_));
+  EXPECT_TRUE(db_.SubsetOf(copy));
   copy.Insert(Atom::Make("ILabel", {b_}));
-  EXPECT_FALSE(copy.SetEquals(db_));
   EXPECT_TRUE(db_.SubsetOf(copy));
   EXPECT_FALSE(copy.SubsetOf(db_));
 }
@@ -188,50 +187,43 @@ TEST_F(InstanceTest, InducedSchema) {
   EXPECT_EQ(schema.MaxArity(), 2);
 }
 
-TEST_F(InstanceTest, MoveInsertOfDuplicateLeavesArgumentIntact) {
-  Atom dup = Atom::Make("IEdge", {a_, b_});
-  EXPECT_FALSE(db_.Insert(std::move(dup)));
-  // A rejected duplicate is never moved from.
-  EXPECT_EQ(dup, Atom::Make("IEdge", {a_, b_}));
-  EXPECT_EQ(db_.size(), 3u);
-}
-
-TEST_F(InstanceTest, MoveInsertIndexesLikeCopyInsert) {
+TEST_F(InstanceTest, SpanInsertIndexesLikeAtomInsert) {
   const Term d = Term::Constant("id");
   const std::vector<Atom> facts = {
       Atom::Make("IEdge", {c_, d}), Atom::Make("IEdge", {d, d}),
       Atom::Make("ILabel", {d}), Atom::Make("IEdge", {a_, b_}),
       Atom::Make("ITri", {d, a_, d})};
-  Instance copied = db_;
-  Instance moved = db_;
+  Instance by_atom = db_;
+  Instance by_span = db_;
   for (const Atom& fact : facts) {
-    Atom scratch = fact;
-    EXPECT_EQ(copied.Insert(fact), moved.Insert(std::move(scratch)));
+    EXPECT_EQ(by_atom.Insert(fact),
+              by_span.Insert(fact.predicate(), fact.args()));
   }
-  ASSERT_EQ(moved.size(), copied.size());
-  for (size_t i = 0; i < copied.size(); ++i) {
-    EXPECT_EQ(moved.atom(i), copied.atom(i)) << "fact " << i;
+  ASSERT_EQ(by_span.size(), by_atom.size());
+  for (size_t i = 0; i < by_atom.size(); ++i) {
+    EXPECT_EQ(by_span.atom(i), by_atom.atom(i)) << "fact " << i;
   }
-  EXPECT_EQ(moved.ActiveDomain(), copied.ActiveDomain());
-  for (Term t : copied.ActiveDomain()) {
-    EXPECT_EQ(moved.FactsMentioning(t), copied.FactsMentioning(t));
+  EXPECT_EQ(by_span.ActiveDomain(), by_atom.ActiveDomain());
+  for (Term t : by_atom.ActiveDomain()) {
+    EXPECT_EQ(by_span.FactsMentioning(t), by_atom.FactsMentioning(t));
   }
-  for (const Atom& fact : copied.atoms()) {
+  for (const Atom& fact : by_atom.atoms()) {
+    EXPECT_EQ(by_span.FactsWithPredicate(fact.predicate()),
+              by_atom.FactsWithPredicate(fact.predicate()));
     for (int pos = 0; pos < fact.arity(); ++pos) {
       const Term t = fact.args()[pos];
-      EXPECT_EQ(moved.FactsWith(fact.predicate(), pos, t),
-                copied.FactsWith(fact.predicate(), pos, t));
+      EXPECT_EQ(by_span.FactsWith(fact.predicate(), pos, t),
+                by_atom.FactsWith(fact.predicate(), pos, t));
     }
   }
-  const FactStore& got = moved.store();
-  const FactStore& want = copied.store();
+  const FactStore& got = by_span.store();
+  const FactStore& want = by_atom.store();
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got.term_column(), want.term_column());
   for (uint32_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got.predicate(i), want.predicate(i));
     EXPECT_EQ(got.hash(i), want.hash(i));
-    EXPECT_EQ(got.Find(want.predicate(i), want.args(i).data(),
-                       want.arity(i)),
+    EXPECT_EQ(got.Find(want.predicate(i), want.args(i)),
               static_cast<int64_t>(i));
   }
 }

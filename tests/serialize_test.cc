@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -165,6 +166,34 @@ TEST(SerializeTest, InstanceDecodeRejectsGarbage) {
   Instance decoded;
   EXPECT_EQ(DecodeInstance(&reader, &decoded).error,
             SnapshotError::kFormatError);
+}
+
+// The snapshot format of an instance, byte for byte: constants, labelled
+// nulls, a 0-ary fact, a ternary fact and a duplicate insert. Predicate
+// and constant ids come from the process-global interner, so the bytes
+// are only reproducible in a fresh process: the encoding runs in a
+// re-executed child, which exits 0 iff its CRC matches the pin.
+TEST(SerializeTest, EncodeInstanceBytesArePinned) {
+  constexpr uint32_t kPinnedCrc = 0xc06a0cdb;
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Instance db;
+        const Term a = Term::Constant("pin_a");
+        const Term b = Term::Constant("pin_b");
+        db.Insert(Atom::Make("pin_edge", {a, Term::Null(7)}));
+        db.Insert(Atom::Make("pin_flag", {}));
+        db.Insert(Atom::Make("pin_tri", {Term::Null(7), b, a}));
+        db.Insert(Atom::Make("pin_edge", {a, Term::Null(7)}));  // duplicate
+        db.Insert(Atom::Make("pin_edge", {Term::Null(8), b}));
+        BinaryWriter writer;
+        EncodeInstance(db, &writer);
+        const uint32_t crc = Crc32(writer.buffer());
+        std::fprintf(stderr, "%zu bytes, crc 0x%08x\n",
+                     writer.buffer().size(), crc);
+        std::exit(crc == kPinnedCrc ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SerializeTest, ToStringParseSerializeRoundTrip) {

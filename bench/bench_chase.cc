@@ -116,9 +116,8 @@ void PrintSummary() {
 
 /// Machine-readable quick tier (--json): a fixed set of chase
 /// configurations timed with the process stopwatch, written as
-/// BENCH_chase.json (ns/op, facts/sec, peak RSS). Keys are stable across
-/// PRs so --json-baseline=KEY=NS attaches the previous trajectory point
-/// and the file carries its own speedup column.
+/// BENCH_chase.json (ns/op, facts/sec, peak RSS). Keys are stable, so
+/// two files from one host compare entry by entry.
 int RunJsonBench() {
   BenchJson json("chase", g_json);
   struct Config {

@@ -85,7 +85,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         0, bytes.size() < kFuzzPayloadCap ? bytes.size() : kFuzzPayloadCap);
     const gqe::FrameType types[] = {gqe::FrameType::kRequest,
                                     gqe::FrameType::kResult,
-                                    gqe::FrameType::kPing};
+                                    gqe::FrameType::kPing,
+                                    gqe::FrameType::kStorageCommand,
+                                    gqe::FrameType::kStorageReply};
     std::string stream;
     for (gqe::FrameType type : types) {
       stream += gqe::EncodeFrame(type, payload);

@@ -123,13 +123,12 @@ constexpr uint16_t kSnapshotKindRetiredExchange = 5;
 /// bit-flipped record a *detected* end of journal on recovery, never a
 /// fabricated request or result.
 constexpr uint16_t kSnapshotKindJournalRecord = 6;
-/// Long-lived storage-shard worker protocol (shard/storage_shard.h): a
-/// coordinator command frame (seed / delta / rebuild / discover) and the
-/// worker's reply (ack with fragment manifest, or candidate groups). Both
-/// travel length-prefixed over pipes; the envelope CRC turns any torn or
-/// bit-flipped frame into a recoverable shard fault.
-constexpr uint16_t kSnapshotKindStorageCommand = 7;
-constexpr uint16_t kSnapshotKindStorageReply = 8;
+/// Retired: storage-shard commands and replies once travelled in these
+/// envelopes; they now travel as bare payloads in net/frame.h frames,
+/// whose header carries their type, length cap and CRC. Kinds 7 and 8
+/// are never reused.
+constexpr uint16_t kSnapshotKindRetiredStorageCommand = 7;
+constexpr uint16_t kSnapshotKindRetiredStorageReply = 8;
 /// A storage shard's per-round fragment checkpoint (its owned slice of
 /// the instance plus the round frontier), written tmp+fsync+rename at
 /// every round boundary.

@@ -107,65 +107,6 @@ bool WriteAllToFd(int fd, std::string_view data, int* errno_out) {
 
 bool IsPeerGoneErrno(int err) { return err == EPIPE || err == ECONNRESET; }
 
-void AppendLengthPrefixedFrame(std::string* out, std::string_view payload) {
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  char header[4];
-  header[0] = static_cast<char>(size & 0xff);
-  header[1] = static_cast<char>((size >> 8) & 0xff);
-  header[2] = static_cast<char>((size >> 16) & 0xff);
-  header[3] = static_cast<char>((size >> 24) & 0xff);
-  out->append(header, sizeof(header));
-  out->append(payload.data(), payload.size());
-}
-
-FrameTake TakeLengthPrefixedFrame(std::string* buffer, std::string* payload,
-                                  size_t max_bytes) {
-  if (buffer->size() < 4) return FrameTake::kNeedMore;
-  const unsigned char* b =
-      reinterpret_cast<const unsigned char*>(buffer->data());
-  const uint32_t size = static_cast<uint32_t>(b[0]) |
-                        (static_cast<uint32_t>(b[1]) << 8) |
-                        (static_cast<uint32_t>(b[2]) << 16) |
-                        (static_cast<uint32_t>(b[3]) << 24);
-  if (size > max_bytes) return FrameTake::kMalformed;
-  if (buffer->size() < 4 + static_cast<size_t>(size)) return FrameTake::kNeedMore;
-  payload->assign(*buffer, 4, size);
-  buffer->erase(0, 4 + static_cast<size_t>(size));
-  return FrameTake::kFrame;
-}
-
-bool ReadLengthPrefixedFrameBlocking(int fd, std::string* payload,
-                                     size_t max_bytes) {
-  unsigned char header[4];
-  size_t got = 0;
-  while (got < sizeof(header)) {
-    const ssize_t n = ::read(fd, header + got, sizeof(header) - got);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // EOF or hard error
-  }
-  const uint32_t size = static_cast<uint32_t>(header[0]) |
-                        (static_cast<uint32_t>(header[1]) << 8) |
-                        (static_cast<uint32_t>(header[2]) << 16) |
-                        (static_cast<uint32_t>(header[3]) << 24);
-  if (size > max_bytes) return false;
-  payload->resize(size);
-  got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, payload->data() + got, size - got);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 WorkerProcess::WorkerProcess(WorkerProcess&& other) noexcept {
   *this = std::move(other);
 }

@@ -124,8 +124,9 @@ class WorkerProcess {
   const std::string& result_bytes() const { return result_; }
 
   /// Moves the accumulated result bytes out, leaving the buffer empty.
-  /// Long-lived workers stream many framed replies through one pipe; the
-  /// supervisor takes what has arrived and reassembles frames itself.
+  /// Long-lived workers stream many replies through one pipe; the
+  /// supervisor feeds what has arrived to its own frame decoder
+  /// (net/frame.h).
   std::string TakeResult() { return std::move(result_); }
 
  private:
@@ -162,37 +163,6 @@ class HeartbeatWriter {
   bool stop_ = false;  // guarded by mu_
   std::thread thread_;
 };
-
-/// Outcome of trying to peel one length-prefixed frame off a stream
-/// buffer (see TakeLengthPrefixedFrame).
-enum class FrameTake : int {
-  /// A complete frame was extracted into `payload`.
-  kFrame = 0,
-  /// The buffer holds only a partial frame; read more and retry.
-  kNeedMore = 1,
-  /// The declared length exceeds `max_bytes` — the stream is garbage (or
-  /// hostile) and the connection/worker must be torn down, because no
-  /// amount of further reading resynchronizes a length-prefixed stream.
-  kMalformed = 2,
-};
-
-/// Appends `payload` to `out` as a u32-little-endian-length-prefixed
-/// frame. The pipe protocols between the shard coordinator and its
-/// long-lived workers use this framing in both directions; payload
-/// integrity is the embedded snapshot envelope's job, framing only
-/// delimits.
-void AppendLengthPrefixedFrame(std::string* out, std::string_view payload);
-
-/// Attempts to peel one frame off the front of `buffer`. On kFrame the
-/// frame's payload is moved into `payload` and erased from `buffer`.
-FrameTake TakeLengthPrefixedFrame(std::string* buffer, std::string* payload,
-                                  size_t max_bytes);
-
-/// Child-side blocking read of one frame from `fd`. Returns false on
-/// EOF, error, or an oversized declared length — for a long-lived worker
-/// all three mean "supervisor is gone or insane: exit".
-bool ReadLengthPrefixedFrameBlocking(int fd, std::string* payload,
-                                     size_t max_bytes);
 
 /// Writes all of `data` to `fd`, retrying on EINTR / short writes.
 /// Returns false on the first hard write error. When `errno_out` is

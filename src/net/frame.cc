@@ -1,6 +1,7 @@
 #include "net/frame.h"
 
-#include <cstring>
+#include <errno.h>
+#include <unistd.h>
 
 #include "base/serialize.h"
 
@@ -8,33 +9,9 @@ namespace gqe {
 
 namespace {
 
-void PutU16(std::string* out, uint16_t value) {
-  out->push_back(static_cast<char>(value & 0xff));
-  out->push_back(static_cast<char>((value >> 8) & 0xff));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-uint16_t GetU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint16_t>(static_cast<unsigned char>(p[1])) << 8;
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return value;
-}
-
 bool KnownFrameType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kRequest) &&
-         type <= static_cast<uint8_t>(FrameType::kPong);
+         type <= static_cast<uint8_t>(FrameType::kStorageReply);
 }
 
 }  // namespace
@@ -51,18 +28,23 @@ const char* FrameTypeName(FrameType type) {
       return "ping";
     case FrameType::kPong:
       return "pong";
+    case FrameType::kStorageCommand:
+      return "storage-command";
+    case FrameType::kStorageReply:
+      return "storage-reply";
   }
   return "unknown";
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
-  std::string out;
+  BinaryWriter header;
+  header.WriteU16(kFrameMagic);
+  header.WriteU8(kFrameVersion);
+  header.WriteU8(static_cast<uint8_t>(type));
+  header.WriteU32(static_cast<uint32_t>(payload.size()));
+  header.WriteU32(Crc32(payload));
+  std::string out = header.Take();
   out.reserve(kFrameHeaderSize + payload.size());
-  PutU16(&out, kFrameMagic);
-  out.push_back(static_cast<char>(kFrameVersion));
-  out.push_back(static_cast<char>(type));
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32(payload));
   out.append(payload);
   return out;
 }
@@ -77,6 +59,14 @@ void FrameDecoder::Feed(std::string_view bytes) {
   buffer_.append(bytes.data(), bytes.size());
 }
 
+FrameDecoder::Result FrameDecoder::Fail(std::string failure,
+                                         std::string* error) {
+  failed_ = true;
+  failure_ = std::move(failure);
+  if (error != nullptr) *error = failure_;
+  return Result::kError;
+}
+
 FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
   if (failed_) {
     if (error != nullptr) *error = failure_;
@@ -84,55 +74,66 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
   }
   const size_t available = buffer_.size() - consumed_;
   if (available < kFrameHeaderSize) return Result::kNeedMore;
-  const char* header = buffer_.data() + consumed_;
 
-  const uint16_t magic = GetU16(header);
-  if (magic != kFrameMagic) {
-    failed_ = true;
-    failure_ = "bad frame magic";
-    if (error != nullptr) *error = failure_;
-    return Result::kError;
-  }
-  const uint8_t version = static_cast<uint8_t>(header[2]);
+  BinaryReader header(
+      std::string_view(buffer_.data() + consumed_, kFrameHeaderSize));
+  uint16_t magic = 0;
+  uint8_t version = 0;
+  uint8_t type = 0;
+  uint32_t length = 0;
+  uint32_t expected_crc = 0;
+  header.ReadU16(&magic);
+  header.ReadU8(&version);
+  header.ReadU8(&type);
+  header.ReadU32(&length);
+  header.ReadU32(&expected_crc);
+  if (magic != kFrameMagic) return Fail("bad frame magic", error);
   if (version != kFrameVersion) {
-    failed_ = true;
-    failure_ = "unsupported frame version " + std::to_string(version);
-    if (error != nullptr) *error = failure_;
-    return Result::kError;
+    return Fail("unsupported frame version " + std::to_string(version),
+                error);
   }
-  const uint8_t type = static_cast<uint8_t>(header[3]);
   if (!KnownFrameType(type)) {
-    failed_ = true;
-    failure_ = "unknown frame type " + std::to_string(type);
-    if (error != nullptr) *error = failure_;
-    return Result::kError;
+    return Fail("unknown frame type " + std::to_string(type), error);
   }
-  const uint32_t length = GetU32(header + 4);
   // Checked against the header alone: a hostile length prefix is
   // rejected before any payload bytes are buffered toward it.
   if (length > max_payload_) {
-    failed_ = true;
-    failure_ = "frame payload length " + std::to_string(length) +
-               " exceeds cap " + std::to_string(max_payload_);
-    if (error != nullptr) *error = failure_;
-    return Result::kError;
+    return Fail("frame payload length " + std::to_string(length) +
+                    " exceeds cap " + std::to_string(max_payload_),
+                error);
   }
   if (available < kFrameHeaderSize + length) return Result::kNeedMore;
 
-  const uint32_t expected_crc = GetU32(header + 8);
   std::string_view payload(buffer_.data() + consumed_ + kFrameHeaderSize,
                            length);
   if (Crc32(payload) != expected_crc) {
-    failed_ = true;
-    failure_ = "frame payload checksum mismatch";
-    if (error != nullptr) *error = failure_;
-    return Result::kError;
+    return Fail("frame payload checksum mismatch", error);
   }
 
   out->type = static_cast<FrameType>(type);
   out->payload.assign(payload.data(), payload.size());
   consumed_ += kFrameHeaderSize + length;
   return Result::kFrame;
+}
+
+bool ReadFrameBlocking(int fd, FrameDecoder* decoder, Frame* frame) {
+  char chunk[64 * 1024];
+  for (;;) {
+    switch (decoder->Next(frame, nullptr)) {
+      case FrameDecoder::Result::kFrame:
+        return true;
+      case FrameDecoder::Result::kError:
+        return false;
+      case FrameDecoder::Result::kNeedMore:
+        break;
+    }
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      decoder->Feed(std::string_view(chunk, static_cast<size_t>(n)));
+    } else if (n == 0 || errno != EINTR) {
+      return false;  // EOF or hard error
+    }
+  }
 }
 
 std::string MakeErrorPayload(std::string_view code, std::string_view detail) {

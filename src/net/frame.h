@@ -8,12 +8,14 @@
 
 namespace gqe {
 
-/// Wire framing for the network serving tier: every message on a serve
-/// connection is one length-prefixed, checksummed frame. The payloads
-/// reuse the existing serve text codecs — a request frame carries one
-/// manifest line (serve/request.h syntax) and a result frame carries the
-/// corresponding deterministic "result:" line — so a network run is
-/// byte-comparable against a file-manifest run of the same requests.
+/// The one byte-stream framing: every message on a serve connection and
+/// on a storage-shard worker pipe is one length-prefixed, checksummed
+/// frame. On serve connections the payloads reuse the serve text codecs
+/// — a request frame carries one manifest line (serve/request.h syntax)
+/// and a result frame carries the corresponding deterministic "result:"
+/// line — so a network run is byte-comparable against a file-manifest
+/// run of the same requests. On shard pipes a frame carries one binary
+/// storage command or reply (shard/storage_wire.h).
 ///
 /// Layout (little-endian, 12-byte header):
 ///   u16 magic   0x5147 ("GQ")
@@ -43,6 +45,11 @@ enum class FrameType : uint8_t {
   /// Liveness probe; the server answers kPong with the same payload.
   kPing = 4,
   kPong = 5,
+  /// Storage-shard pipes only (shard/storage_wire.h): coordinator ->
+  /// worker command, worker -> coordinator reply. The serve front end
+  /// rejects both with PROTOCOL.
+  kStorageCommand = 6,
+  kStorageReply = 7,
 };
 
 const char* FrameTypeName(FrameType type);
@@ -99,12 +106,19 @@ class FrameDecoder {
   bool failed() const { return failed_; }
 
  private:
+  Result Fail(std::string failure, std::string* error);
+
   size_t max_payload_;
   std::string buffer_;
   size_t consumed_ = 0;
   bool failed_ = false;
   std::string failure_;
 };
+
+/// Blocking read of the next frame from `fd` through `decoder` (which
+/// keeps any bytes read past that frame for the next call). Returns
+/// false on EOF, on a hard read error, or once the decoder has failed.
+bool ReadFrameBlocking(int fd, FrameDecoder* decoder, Frame* frame);
 
 /// Builds a kError payload: "CODE detail". `code` must be a bare token
 /// (no spaces) so clients can split on the first space.

@@ -27,20 +27,6 @@ constexpr uint32_t kMaxJournalRecordBytes = 64u << 20;
 constexpr char kSegmentPrefix[] = "wal-";
 constexpr char kSegmentSuffix[] = ".seg";
 
-void PutU32(uint32_t value, std::string* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t value = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(*p++)) << shift;
-  }
-  return value;
-}
-
 void EncodeRecordPayload(const JournalRecord& record, BinaryWriter* writer) {
   writer->WriteU8(static_cast<uint8_t>(record.type));
   writer->WriteString(record.id);
@@ -123,11 +109,9 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
   EncodeRecordPayload(record, &writer);
   const std::string envelope =
       WrapSnapshot(kSnapshotKindJournalRecord, writer.buffer());
-  std::string out;
-  out.reserve(4 + envelope.size());
-  PutU32(static_cast<uint32_t>(envelope.size()), &out);
-  out += envelope;
-  return out;
+  BinaryWriter prefix;
+  prefix.WriteU32(static_cast<uint32_t>(envelope.size()));
+  return prefix.Take() + envelope;
 }
 
 size_t DecodeJournalSegment(std::string_view bytes,
@@ -136,7 +120,8 @@ size_t DecodeJournalSegment(std::string_view bytes,
   size_t pos = 0;
   if (error != nullptr) error->clear();
   while (pos + 4 <= bytes.size()) {
-    const uint32_t length = GetU32(bytes.data() + pos);
+    uint32_t length = 0;
+    BinaryReader(bytes.substr(pos, 4)).ReadU32(&length);
     if (length > kMaxJournalRecordBytes) {
       if (error != nullptr) {
         *error = "impossible record length " + std::to_string(length);

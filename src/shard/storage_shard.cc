@@ -15,6 +15,8 @@
 #include <utility>
 
 #include "base/serialize.h"
+#include "net/frame.h"
+#include "shard/storage_wire.h"
 
 namespace gqe {
 
@@ -31,14 +33,11 @@ constexpr int kStorageExitPeerGone = 4;
 constexpr int kStorageExitProtocol = 5;
 constexpr int kStorageExitOom = 12;
 
-/// "No generation": fragment checkpoints are numbered by round boundary,
-/// and ~0 marks the absence of one (a fresh slot, a failed write).
-constexpr uint64_t kNoGen = ~0ull;
 /// A fragment rebuilt with no disk checkpoint at all — pure exchange-log
 /// replay from round zero.
 constexpr uint64_t kScratchGen = kNoGen - 1;
 
-/// Upper bound on one pipe frame. Far above any real exchange; its only
+/// Payload cap of one pipe frame. Far above any real exchange; its only
 /// job is making a garbage length prefix a detected protocol failure
 /// instead of an allocation bomb.
 constexpr size_t kMaxFrameBytes = 1ull << 30;
@@ -48,15 +47,6 @@ constexpr size_t kMaxFrameBytes = 1ull << 30;
 /// how much the forked worker already mapped copy-on-write.
 constexpr size_t kOomFaultLimitBytes = 64ull << 20;
 constexpr size_t kOomFaultProbeBytes = 128ull << 20;
-
-// Minimum encoded bytes per claimed element: a claimed count the remaining
-// payload cannot hold is rejected before anything is allocated (guards
-// against CRC-valid but hostile payloads).
-constexpr uint64_t kMinAtomBytes = 8;       // predicate + arity
-constexpr uint64_t kMinUnitBytes = 8 + 4 + 8 + 8;
-constexpr uint64_t kMinGroupBytes = 4 + 8 + 8 + 8;
-constexpr uint64_t kMinIndexBytes = 8;
-constexpr uint64_t kMinLogBytes = 8;
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -85,99 +75,12 @@ uint64_t FoldManifest(uint64_t h, uint64_t content_hash,
 }
 
 // ---------------------------------------------------------------------------
-// Wire + file formats.
+// File formats.
 //
-// Commands and replies travel length-prefixed over the worker pipes inside
-// CRC snapshot envelopes (kinds 7/8); they are same-process-image formats,
-// so atoms are encoded without an interner section (DecodeAtomVector still
-// validates predicates/constants against the forked interner, and accepts
-// the labelled nulls the chase mints after fork). Fragment checkpoints and
-// retained exchange logs (kinds 9/10) are cross-restart files and embed
-// the interner.
+// Fragment checkpoints and retained exchange logs (snapshot kinds 9/10)
+// are cross-restart files and embed the interner. The pipe messages are
+// in shard/storage_wire.h.
 // ---------------------------------------------------------------------------
-
-struct StorageCommand {
-  enum class Type : uint32_t {
-    /// Full fragment seed: every owned (global index, atom) pair plus the
-    /// round frontier. Legal only for a worker that has never acked under
-    /// this layout — past that point the coordinator refuses to reseed,
-    /// which is what makes rebuild failures observable instead of being
-    /// papered over by re-shipping state that might itself be the bug.
-    kSeed = 1,
-    /// One round's delta: the worker appends its owned facts at their
-    /// global indexes and replaces the replicated frontier.
-    kDelta = 2,
-    /// Crash recovery: retained exchange logs ride down; the worker picks
-    /// its newest usable disk checkpoint and replays forward.
-    kRebuild = 3,
-    /// Run this round's trigger discovery against fragment + frontier.
-    kDiscover = 4,
-  };
-
-  Type type = Type::kSeed;
-  /// Coordinator-issued, strictly monotonic across every command of the
-  /// run; the reply must echo it, so a late reply from a superseded
-  /// attempt can never be mistaken for the current one.
-  uint64_t sequence = 0;
-  uint64_t boundary = 0;
-  uint32_t num_shards = 1;
-  /// Injected fault (StorageFault::Kind) to execute before processing,
-  /// or -1. Riding inside the command keeps chaos deterministic: the
-  /// fault fires exactly when the matched command arrives.
-  int32_t inject_fault = -1;
-  uint64_t delta_start = 0;
-  uint64_t delta_end = 0;
-  /// kSeed: owned facts (parallel vectors, ascending global index).
-  std::vector<uint64_t> seed_indexes;
-  std::vector<Atom> seed_atoms;
-  /// kSeed/kDelta: the round frontier (== the delta, replicated).
-  std::vector<Atom> frontier;
-  /// kRebuild: raw retained log file bytes, ascending boundary.
-  std::vector<std::string> logs;
-  /// kDiscover: the round's units in canonical order.
-  std::vector<ChaseDiscoveryUnit> units;
-};
-
-struct StorageReplyGroup {
-  uint32_t unit_index = 0;
-  uint64_t fact_index = 0;
-  /// Ground side atoms the emitting shard does not own and therefore
-  /// could not check; the coordinator confirms every ground side against
-  /// the global instance before merging, so this field is diagnostic.
-  std::vector<Atom> cond;
-  /// Global indexes of matching free-side facts owned by the emitting
-  /// shard, strictly ascending. Substitutions are NOT shipped: the
-  /// coordinator re-binds each candidate against its own instance, which
-  /// both halves the exchange volume and turns any fabricated candidate
-  /// into a validation failure instead of a wrong merge.
-  std::vector<uint64_t> side_indexes;
-};
-
-struct StorageReply {
-  enum class Type : uint32_t { kAck = 1, kCandidates = 2 };
-
-  Type type = Type::kAck;
-  uint64_t sequence = 0;
-  uint64_t boundary = 0;
-  uint32_t shard = 0;
-  uint32_t num_shards = 1;
-  /// kAck: load outcome. ok=false with an intact envelope means the
-  /// worker itself judged its state unusable (rebuild ladder exhausted).
-  bool ok = true;
-  std::string error;
-  uint64_t fragment_count = 0;
-  uint64_t fragment_hash = 0;
-  /// Newest / oldest fragment generations durable on disk after this
-  /// load. The oldest bounds exchange-log pruning: a log is deletable
-  /// only when no shard's retained checkpoint could need it to replay.
-  uint64_t checkpoint_gen = kNoGen;
-  uint64_t oldest_checkpoint_gen = kNoGen;
-  /// The generation this load rebuilt from (kNoGen: not a rebuild;
-  /// kScratchGen: log-only replay from round zero).
-  uint64_t rebuilt_from = kNoGen;
-  /// kCandidates: groups in strictly increasing (unit, fact) order.
-  std::vector<StorageReplyGroup> groups;
-};
 
 /// A shard's fragment checkpoint: its owned slice of the instance (global
 /// indexes + atoms, ascending) and the frontier of the boundary round,
@@ -205,237 +108,6 @@ struct StorageLogFile {
   uint64_t delta_end = 0;
   std::vector<Atom> delta;
 };
-
-void EncodeUnits(const std::vector<ChaseDiscoveryUnit>& units,
-                 BinaryWriter* writer) {
-  writer->WriteU64(units.size());
-  for (const ChaseDiscoveryUnit& unit : units) {
-    writer->WriteU64(unit.tgd_index);
-    writer->WriteI32(unit.anchor);
-    writer->WriteU64(unit.delta_begin);
-    writer->WriteU64(unit.delta_end);
-  }
-}
-
-bool DecodeUnits(BinaryReader* reader, std::vector<ChaseDiscoveryUnit>* out) {
-  uint64_t count = 0;
-  if (!reader->ReadU64(&count)) return false;
-  if (count > reader->remaining() / kMinUnitBytes + 1) return false;
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ChaseDiscoveryUnit unit;
-    uint64_t tgd = 0;
-    int32_t anchor = 0;
-    reader->ReadU64(&tgd);
-    reader->ReadI32(&anchor);
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    reader->ReadU64(&begin);
-    if (!reader->ReadU64(&end)) return false;
-    unit.tgd_index = tgd;
-    unit.anchor = anchor;
-    unit.delta_begin = begin;
-    unit.delta_end = end;
-    out->push_back(unit);
-  }
-  return true;
-}
-
-std::string EncodeStorageCommand(const StorageCommand& command) {
-  BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(command.type));
-  writer.WriteU64(command.sequence);
-  writer.WriteU64(command.boundary);
-  writer.WriteU32(command.num_shards);
-  writer.WriteI32(command.inject_fault);
-  writer.WriteU64(command.delta_start);
-  writer.WriteU64(command.delta_end);
-  writer.WriteU64(command.seed_indexes.size());
-  for (uint64_t index : command.seed_indexes) writer.WriteU64(index);
-  EncodeAtomVector(command.seed_atoms, &writer);
-  EncodeAtomVector(command.frontier, &writer);
-  writer.WriteU64(command.logs.size());
-  for (const std::string& log : command.logs) writer.WriteString(log);
-  EncodeUnits(command.units, &writer);
-  return WrapSnapshot(kSnapshotKindStorageCommand, writer.buffer());
-}
-
-SnapshotStatus DecodeStorageCommand(std::string_view bytes,
-                                    StorageCommand* out) {
-  std::string_view payload;
-  SnapshotStatus status =
-      UnwrapSnapshot(bytes, kSnapshotKindStorageCommand, &payload);
-  if (!status.ok()) return status;
-  BinaryReader reader(payload);
-  StorageCommand command;
-  uint32_t type = 0;
-  reader.ReadU32(&type);
-  reader.ReadU64(&command.sequence);
-  reader.ReadU64(&command.boundary);
-  reader.ReadU32(&command.num_shards);
-  reader.ReadI32(&command.inject_fault);
-  reader.ReadU64(&command.delta_start);
-  uint64_t index_count = 0;
-  reader.ReadU64(&command.delta_end);
-  if (!reader.ReadU64(&index_count)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage command: truncated header");
-  }
-  if (type < 1 || type > 4) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: unknown type");
-  }
-  command.type = static_cast<StorageCommand::Type>(type);
-  if (index_count > reader.remaining() / kMinIndexBytes + 1) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: absurd index count");
-  }
-  command.seed_indexes.reserve(index_count);
-  for (uint64_t i = 0; i < index_count; ++i) {
-    uint64_t index = 0;
-    if (!reader.ReadU64(&index)) {
-      return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                  "storage command: truncated indexes");
-    }
-    command.seed_indexes.push_back(index);
-  }
-  status = DecodeAtomVector(&reader, &command.seed_atoms);
-  if (!status.ok()) return status;
-  status = DecodeAtomVector(&reader, &command.frontier);
-  if (!status.ok()) return status;
-  uint64_t log_count = 0;
-  if (!reader.ReadU64(&log_count)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage command: truncated log count");
-  }
-  if (log_count > reader.remaining() / kMinLogBytes + 1) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: absurd log count");
-  }
-  command.logs.reserve(log_count);
-  for (uint64_t i = 0; i < log_count; ++i) {
-    std::string log;
-    if (!reader.ReadString(&log)) {
-      return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                  "storage command: truncated log");
-    }
-    command.logs.push_back(std::move(log));
-  }
-  if (!DecodeUnits(&reader, &command.units)) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: bad units");
-  }
-  if (!reader.ok() || !reader.AtEnd()) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: trailing or missing bytes");
-  }
-  if (command.seed_indexes.size() != command.seed_atoms.size()) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: seed index/atom mismatch");
-  }
-  *out = std::move(command);
-  return SnapshotStatus::Ok();
-}
-
-std::string EncodeStorageReply(const StorageReply& reply) {
-  BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(reply.type));
-  writer.WriteU64(reply.sequence);
-  writer.WriteU64(reply.boundary);
-  writer.WriteU32(reply.shard);
-  writer.WriteU32(reply.num_shards);
-  writer.WriteBool(reply.ok);
-  writer.WriteString(reply.error);
-  writer.WriteU64(reply.fragment_count);
-  writer.WriteU64(reply.fragment_hash);
-  writer.WriteU64(reply.checkpoint_gen);
-  writer.WriteU64(reply.oldest_checkpoint_gen);
-  writer.WriteU64(reply.rebuilt_from);
-  writer.WriteU64(reply.groups.size());
-  for (const StorageReplyGroup& group : reply.groups) {
-    writer.WriteU32(group.unit_index);
-    writer.WriteU64(group.fact_index);
-    EncodeAtomVector(group.cond, &writer);
-    writer.WriteU64(group.side_indexes.size());
-    for (uint64_t side : group.side_indexes) writer.WriteU64(side);
-  }
-  return WrapSnapshot(kSnapshotKindStorageReply, writer.buffer());
-}
-
-SnapshotStatus DecodeStorageReply(std::string_view bytes, StorageReply* out) {
-  std::string_view payload;
-  SnapshotStatus status =
-      UnwrapSnapshot(bytes, kSnapshotKindStorageReply, &payload);
-  if (!status.ok()) return status;
-  BinaryReader reader(payload);
-  StorageReply reply;
-  uint32_t type = 0;
-  reader.ReadU32(&type);
-  reader.ReadU64(&reply.sequence);
-  reader.ReadU64(&reply.boundary);
-  reader.ReadU32(&reply.shard);
-  reader.ReadU32(&reply.num_shards);
-  reader.ReadBool(&reply.ok);
-  if (!reader.ReadString(&reply.error)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage reply: truncated header");
-  }
-  reader.ReadU64(&reply.fragment_count);
-  reader.ReadU64(&reply.fragment_hash);
-  reader.ReadU64(&reply.checkpoint_gen);
-  reader.ReadU64(&reply.oldest_checkpoint_gen);
-  reader.ReadU64(&reply.rebuilt_from);
-  uint64_t group_count = 0;
-  if (!reader.ReadU64(&group_count)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage reply: truncated counters");
-  }
-  if (type < 1 || type > 2) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage reply: unknown type");
-  }
-  reply.type = static_cast<StorageReply::Type>(type);
-  if (group_count > reader.remaining() / kMinGroupBytes + 1) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage reply: absurd group count");
-  }
-  reply.groups.reserve(group_count);
-  for (uint64_t g = 0; g < group_count; ++g) {
-    StorageReplyGroup group;
-    reader.ReadU32(&group.unit_index);
-    if (!reader.ReadU64(&group.fact_index)) {
-      return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                  "storage reply: truncated group");
-    }
-    status = DecodeAtomVector(&reader, &group.cond);
-    if (!status.ok()) return status;
-    uint64_t side_count = 0;
-    if (!reader.ReadU64(&side_count)) {
-      return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                  "storage reply: truncated candidates");
-    }
-    if (side_count > reader.remaining() / kMinIndexBytes + 1) {
-      return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                  "storage reply: absurd candidate count");
-    }
-    group.side_indexes.reserve(side_count);
-    for (uint64_t s = 0; s < side_count; ++s) {
-      uint64_t side = 0;
-      if (!reader.ReadU64(&side)) {
-        return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                    "storage reply: truncated candidate");
-      }
-      group.side_indexes.push_back(side);
-    }
-    reply.groups.push_back(std::move(group));
-  }
-  if (!reader.ok() || !reader.AtEnd()) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage reply: trailing or missing bytes");
-  }
-  *out = std::move(reply);
-  return SnapshotStatus::Ok();
-}
 
 std::string EncodeStorageFragmentFile(const StorageFragmentFile& file) {
   BinaryWriter writer;
@@ -902,27 +574,30 @@ void ComputeWorkerGroups(const StorageCommand& command, const TgdSet& tgds,
 }
 
 /// Long-lived storage-worker entry point: parks in a blocking read on the
-/// command pipe, answers each command with one framed reply, exits 0 on
-/// command-pipe EOF (graceful teardown). Runs in a forked child; the
-/// return value becomes the exit code.
+/// command pipe, answers each kStorageCommand frame with one
+/// kStorageReply frame, exits 0 on command-pipe EOF (graceful teardown).
+/// Runs in a forked child; the return value becomes the exit code.
 int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
                       double heartbeat_interval_ms, int keep_generations,
                       const std::string& shard_dir, int command_fd,
                       int result_fd, int heartbeat_fd) {
   HeartbeatWriter heartbeat(heartbeat_fd, heartbeat_interval_ms);
   WorkerState state;
-  std::string frame;
-  while (ReadLengthPrefixedFrameBlocking(command_fd, &frame, kMaxFrameBytes)) {
+  FrameDecoder decoder(kMaxFrameBytes);
+  Frame frame;
+  while (ReadFrameBlocking(command_fd, &decoder, &frame)) {
     StorageCommand command;
-    if (!DecodeStorageCommand(frame, &command).ok()) {
+    if (frame.type != FrameType::kStorageCommand ||
+        !DecodeStorageCommand(frame.payload, &command).ok()) {
       return kStorageExitProtocol;
     }
     // Injected faults fire on command receipt, before any work — the
-    // deterministic moment chaos tests pin. They are raised child-side: a
-    // parent-side signal would race a fast worker's reply, and the fault
-    // could dissolve into a successful command. Raising the signal here is
-    // still the real thing — the coordinator sees an ordinary SIGKILL
-    // death / heartbeat-silent stall / OOM exit, through the same
+    // deterministic moment chaos tests pin (kCorrupt alone waits for the
+    // reply it damages). They are raised child-side: a parent-side signal
+    // would race a fast worker's reply, and the fault could dissolve into
+    // a successful command. Raising the signal here is still the real
+    // thing — the coordinator sees an ordinary SIGKILL death /
+    // heartbeat-silent stall / OOM exit / corrupt frame, through the same
     // classification paths an external fault would take.
     if (command.inject_fault ==
         static_cast<int32_t>(StorageFault::Kind::kKill)) {
@@ -1053,15 +728,23 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
       reply.rebuilt_from = state.rebuilt_from;
     }
 
-    std::string out;
-    AppendLengthPrefixedFrame(&out, EncodeStorageReply(reply));
+    std::string out =
+        EncodeFrame(FrameType::kStorageReply, EncodeStorageReply(reply));
+    if (command.inject_fault ==
+        static_cast<int32_t>(StorageFault::Kind::kCorrupt)) {
+      // Simulated wire corruption: one bit flipped mid-payload, after the
+      // CRC was computed, for the coordinator's decoder to catch. Never
+      // in the header: a grown length field would leave the reply
+      // pending forever behind a heartbeating worker.
+      out[kFrameHeaderSize + (out.size() - kFrameHeaderSize) / 2] ^= 0x20;
+    }
     int write_errno = 0;
     if (!WriteAllToFd(result_fd, out, &write_errno)) {
       return IsPeerGoneErrno(write_errno) ? kStorageExitPeerGone
                                           : kStorageExitWriteError;
     }
   }
-  return kStorageExitOk;
+  return decoder.failed() ? kStorageExitProtocol : kStorageExitOk;
 }
 
 std::string StorageDeathCause(const WorkerExit& exit) {
@@ -1156,7 +839,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     double first_fault_at = -1.0;
     Phase phase = Phase::kNeedLoad;
     uint64_t await_sequence = 0;
-    std::string rx;
+    FrameDecoder decoder{kMaxFrameBytes};
     StorageReply reply;
   };
 
@@ -1218,7 +901,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
       slot->running = false;
       if (stats_ != nullptr) ++stats_->worker_deaths;
     }
-    slot->rx.clear();
+    slot->decoder = FrameDecoder(kMaxFrameBytes);
     slot->synced_boundary = kNoGen;
     ScheduleRetry(round, slot, now, cause);
   }
@@ -1269,7 +952,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     }
     slot->worker = std::move(worker);
     slot->running = true;
-    slot->rx.clear();
+    slot->decoder = FrameDecoder(kMaxFrameBytes);
     slot->synced_boundary = kNoGen;
     slot->reseeded = false;
     slot->force_seed = false;
@@ -1374,14 +1057,14 @@ class StorageCoordinator : public ChaseDiscoveryHook {
                                            : StorageFault::Phase::kDiscover;
     for (StorageFault::Kind kind :
          {StorageFault::Kind::kKill, StorageFault::Kind::kStall,
-          StorageFault::Kind::kOom}) {
+          StorageFault::Kind::kOom, StorageFault::Kind::kCorrupt}) {
       if (TakeFault(round.round, slot->shard, slot->attempts, kind, fphase)) {
         command->inject_fault = static_cast<int32_t>(kind);
         break;
       }
     }
-    std::string framed;
-    AppendLengthPrefixedFrame(&framed, EncodeStorageCommand(*command));
+    const std::string framed =
+        EncodeFrame(FrameType::kStorageCommand, EncodeStorageCommand(*command));
     if (stats_ != nullptr) stats_->exchanged_bytes += framed.size();
     const double timeout = options_.command_timeout_ms > 0
                                ? options_.command_timeout_ms
@@ -1392,7 +1075,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         cause = StorageDeathCause(slot->worker.exit_status());
         slot->running = false;
         if (stats_ != nullptr) ++stats_->worker_deaths;
-        slot->rx.clear();
+        slot->decoder = FrameDecoder(kMaxFrameBytes);
         slot->synced_boundary = kNoGen;
         ScheduleRetry(round, slot, now, cause);
       } else {
@@ -1467,22 +1150,11 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     return true;
   }
 
-  /// Processes one framed reply. Returns false when the slot was failed.
-  bool HandleFrame(const ChaseDiscoveryRound& round, Slot* slot,
-                   std::string* payload, double now, size_t* remaining) {
-    const StorageFault::Phase fphase = slot->phase == Phase::kLoadWait
-                                           ? StorageFault::Phase::kLoad
-                                           : StorageFault::Phase::kDiscover;
-    if (TakeFault(round.round, slot->shard, slot->attempts,
-                  StorageFault::Kind::kCorrupt, fphase) &&
-        !payload->empty()) {
-      // Simulated wire corruption: one flipped bit, caught by the reply's
-      // envelope CRC below.
-      (*payload)[payload->size() / 2] ^= 0x20;
-    }
-    if (stats_ != nullptr) stats_->exchanged_bytes += payload->size();
+  /// Processes one reply payload. Returns false when the slot was failed.
+  bool HandleReply(const ChaseDiscoveryRound& round, Slot* slot,
+                   std::string_view payload, double now, size_t* remaining) {
     StorageReply reply;
-    if (!DecodeStorageReply(*payload, &reply).ok()) {
+    if (!DecodeStorageReply(payload, &reply).ok()) {
       if (stats_ != nullptr) ++stats_->corrupt_replies;
       FailSlot(round, slot, now, "corrupt-reply");
       return false;
@@ -1832,23 +1504,26 @@ bool StorageCoordinator::DiscoverRound(
       }
       // Wait phases: pump replies, then liveness.
       slot.worker.DrainResult();
-      slot.rx += slot.worker.TakeResult();
+      slot.decoder.Feed(slot.worker.TakeResult());
       if (slot.worker.DrainHeartbeats() > 0) slot.last_beat = now;
       bool failed = false;
+      Frame frame;
       while (slot.phase == Phase::kLoadWait ||
              slot.phase == Phase::kDiscoverWait) {
-        std::string payload;
-        const FrameTake take =
-            TakeLengthPrefixedFrame(&slot.rx, &payload, kMaxFrameBytes);
-        if (take == FrameTake::kNeedMore) break;
+        const FrameDecoder::Result next = slot.decoder.Next(&frame, nullptr);
+        if (next == FrameDecoder::Result::kNeedMore) break;
         progressed = true;
-        if (take == FrameTake::kMalformed) {
+        if (next == FrameDecoder::Result::kFrame && stats_ != nullptr) {
+          stats_->exchanged_bytes += kFrameHeaderSize + frame.payload.size();
+        }
+        if (next == FrameDecoder::Result::kError ||
+            frame.type != FrameType::kStorageReply) {
           if (stats_ != nullptr) ++stats_->corrupt_replies;
           FailSlot(round, &slot, now, "corrupt-reply");
           failed = true;
           break;
         }
-        if (!HandleFrame(round, &slot, &payload, now, &remaining)) {
+        if (!HandleReply(round, &slot, frame.payload, now, &remaining)) {
           failed = true;
           break;
         }
@@ -1860,7 +1535,7 @@ bool StorageCoordinator::DiscoverRound(
       if (slot.worker.Poll()) {
         // Died mid-request with no (valid) reply: classify and retry.
         slot.running = false;
-        slot.rx.clear();
+        slot.decoder = FrameDecoder(kMaxFrameBytes);
         slot.synced_boundary = kNoGen;
         if (stats_ != nullptr) ++stats_->worker_deaths;
         ScheduleRetry(round, &slot, now,

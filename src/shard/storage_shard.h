@@ -17,8 +17,8 @@ namespace gqe {
 /// fault is pinned to the phase it hits as well as to its (boundary,
 /// shard, attempt). Kill/OOM/stall ride down to the worker inside the
 /// matched command frame (child-side delivery keeps them deterministic);
-/// corrupt flips a bit in the received reply before validation,
-/// exercising the envelope CRC.
+/// so does corrupt, on which the worker flips one payload bit of its
+/// encoded reply frame, exercising the coordinator's frame CRC.
 struct StorageFault {
   enum class Kind : int {
     kKill = 0,
@@ -128,6 +128,9 @@ struct StorageShardStats {
   size_t rebuilds = 0;
   size_t reseeds = 0;
   size_t inline_fallbacks = 0;
+  /// Pipe bytes, counted as whole frames (12-byte header + payload) in
+  /// both directions: every command frame written and every reply frame
+  /// the coordinator decoded.
   size_t exchanged_bytes = 0;
   size_t exchanged_candidates = 0;
   /// Facts shipped to owners through delta commands (sum over rounds of
@@ -162,8 +165,8 @@ uint32_t ShardOfFact(const Instance& instance, size_t fact_index,
 /// once (owned facts appended to the fragment, the whole delta replicated
 /// as the discovery frontier), checkpoints the fragment at every round
 /// boundary (tmp+fsync+rename), and answers per-round discovery commands
-/// with CRC-enveloped candidate exchanges carrying per-command sequence
-/// numbers. The coordinator validates every ack against its acknowledged
+/// with CRC-checked candidate frames (net/frame.h) carrying per-command
+/// sequence numbers. The coordinator validates every ack against its acknowledged
 /// ownership manifest (expected fragment count + rolling content hash),
 /// retains each round's delta as a durable exchange log before accepting
 /// any ack for that boundary, and survives kill -9 / OOM / stall /

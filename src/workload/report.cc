@@ -230,16 +230,6 @@ BenchJsonFlags ParseBenchJsonFlags(int* argc, char** argv) {
       flags.path = arg.substr(7);
       continue;
     }
-    if (arg.rfind("--json-baseline=", 0) == 0) {
-      const std::string kv = arg.substr(16);
-      const size_t eq = kv.rfind('=');
-      if (eq != std::string::npos) {
-        flags.enabled = true;
-        flags.baselines.emplace_back(kv.substr(0, eq),
-                                     std::atof(kv.c_str() + eq + 1));
-      }
-      continue;
-    }
     argv[out++] = argv[i];
   }
   *argc = out;
@@ -279,12 +269,6 @@ std::string BenchJson::Write() const {
                  e.key.c_str(), e.ns_per_op);
     if (e.facts_per_sec > 0) {
       std::fprintf(f, ", \"facts_per_sec\": %.1f", e.facts_per_sec);
-    }
-    for (const auto& [key, baseline_ns] : flags_.baselines) {
-      if (key != e.key || baseline_ns <= 0) continue;
-      std::fprintf(f, ", \"baseline_ns_per_op\": %.1f, \"speedup\": %.3f",
-                   baseline_ns, baseline_ns / e.ns_per_op);
-      break;
     }
     std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
   }

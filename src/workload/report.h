@@ -113,20 +113,18 @@ long PeakRssKb();
 
 /// `--json[=PATH]` bench flag: write a machine-readable benchmark record
 /// alongside the human tables. The default path is BENCH_<name>.json in
-/// the current directory. `--json-baseline=KEY=NS` flags (repeatable)
-/// attach pre-recorded baseline timings so the file carries its own
-/// speedup trajectory.
+/// the current directory.
 struct BenchJsonFlags {
   bool enabled = false;
   std::string path;  // empty: derive BENCH_<name>.json
-  std::vector<std::pair<std::string, double>> baselines;
 };
 
 BenchJsonFlags ParseBenchJsonFlags(int* argc, char** argv);
 
 /// Accumulates benchmark entries and writes BENCH_<name>.json: one
-/// object per entry with ns/op, optional facts/sec throughput, the
-/// attached baseline and speedup, plus a process-wide peak-RSS field.
+/// object per entry with ns/op and optional facts/sec throughput, plus a
+/// process-wide peak-RSS field. A speedup is a before/after delta
+/// between two such files, measured on one host.
 /// The schema is append-friendly: CI uploads the file per PR and the
 /// trajectory is the series of per-PR files.
 class BenchJson {
@@ -135,9 +133,7 @@ class BenchJson {
   BenchJson(std::string name, BenchJsonFlags flags);
 
   /// Adds one benchmark entry. `ns_per_op` is the per-iteration wall
-  /// time; `facts_per_sec` <= 0 omits the throughput field. If a
-  /// baseline with the same key was passed via --json-baseline, the
-  /// entry records it and the speedup factor.
+  /// time; `facts_per_sec` <= 0 omits the throughput field.
   void Add(const std::string& key, double ns_per_op,
            double facts_per_sec = 0.0);
 

@@ -14,15 +14,21 @@
 // process (base/subprocess.h). This also keeps the suite deterministic
 // under TSan/ASan.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "base/subprocess.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -246,6 +252,115 @@ TEST(FrameCodec, ErrorPayloadSplits) {
 }
 
 // ---------------------------------------------------------------------------
+// ReadFrameBlocking: the storage-shard worker's read side, over a pipe.
+
+class FramePipe {
+ public:
+  FramePipe() { EXPECT_EQ(::pipe(fds_), 0); }
+  ~FramePipe() {
+    CloseWrite();
+    if (fds_[0] >= 0) ::close(fds_[0]);
+  }
+  int read_fd() const { return fds_[0]; }
+  int write_fd() const { return fds_[1]; }
+  void CloseWrite() {
+    if (fds_[1] >= 0) ::close(fds_[1]);
+    fds_[1] = -1;
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+};
+
+TEST(ReadFrameBlocking, TwoFramesInOneWrite) {
+  FramePipe pipe;
+  ASSERT_TRUE(WriteAllToFd(pipe.write_fd(),
+                           EncodeFrame(FrameType::kStorageCommand, "one") +
+                               EncodeFrame(FrameType::kStorageReply, "two")));
+  pipe.CloseWrite();
+  FrameDecoder decoder;
+  Frame frame;
+  ASSERT_TRUE(ReadFrameBlocking(pipe.read_fd(), &decoder, &frame));
+  EXPECT_EQ(frame.type, FrameType::kStorageCommand);
+  EXPECT_EQ(frame.payload, "one");
+  ASSERT_TRUE(ReadFrameBlocking(pipe.read_fd(), &decoder, &frame));
+  EXPECT_EQ(frame.type, FrameType::kStorageReply);
+  EXPECT_EQ(frame.payload, "two");
+  EXPECT_FALSE(ReadFrameBlocking(pipe.read_fd(), &decoder, &frame));
+  EXPECT_FALSE(decoder.failed());  // a clean EOF between frames
+}
+
+TEST(ReadFrameBlocking, OneFrameSplitAcrossWrites) {
+  // Larger than a pipe buffer and than one read() chunk, written in
+  // pieces that cut the header and the payload, so the reader blocks
+  // between them and reassembles across many reads.
+  std::string payload(200 * 1024, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 7 + 3);
+  }
+  const std::string bytes = EncodeFrame(FrameType::kStorageCommand, payload);
+  FramePipe pipe;
+  // The writer thread is joined before the test returns, and nothing
+  // forks while it runs.
+  std::thread writer([&] {
+    const size_t cuts[] = {0, 5, kFrameHeaderSize + 1, 70000, bytes.size()};
+    for (size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      WriteAllToFd(pipe.write_fd(), std::string_view(bytes).substr(
+                                        cuts[i], cuts[i + 1] - cuts[i]));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    pipe.CloseWrite();
+  });
+  FrameDecoder decoder(1 << 20);
+  Frame frame;
+  const bool read = ReadFrameBlocking(pipe.read_fd(), &decoder, &frame);
+  // Drain to EOF so a reader that gave up early cannot leave the writer
+  // blocked on a full pipe.
+  char sink[4096];
+  while (::read(pipe.read_fd(), sink, sizeof(sink)) > 0) {
+  }
+  writer.join();
+  ASSERT_TRUE(read);
+  EXPECT_EQ(frame.type, FrameType::kStorageCommand);
+  EXPECT_EQ(frame.payload, payload);
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+TEST(ReadFrameBlocking, EofMidFrameReturnsFalse) {
+  const std::string bytes = EncodeFrame(FrameType::kStorageReply, "partial");
+  FramePipe pipe;
+  ASSERT_TRUE(WriteAllToFd(pipe.write_fd(),
+                           std::string_view(bytes).substr(0, bytes.size() - 3)));
+  pipe.CloseWrite();
+  FrameDecoder decoder;
+  Frame frame;
+  EXPECT_FALSE(ReadFrameBlocking(pipe.read_fd(), &decoder, &frame));
+  EXPECT_FALSE(decoder.failed());
+  EXPECT_TRUE(decoder.mid_frame());
+}
+
+TEST(ReadFrameBlocking, OversizedLengthReturnsFalseWithoutAllocating) {
+  // Only the header arrives and the write end stays open: the reader must
+  // fail on the header alone. The read end is non-blocking so a reader
+  // that waited for the payload would fail the test, not hang it.
+  std::string header = EncodeFrame(FrameType::kStorageCommand, "x");
+  header.resize(kFrameHeaderSize);
+  header[4] = '\xff';
+  header[5] = '\xff';
+  header[6] = '\xff';
+  header[7] = '\x7f';
+  FramePipe pipe;
+  ASSERT_EQ(::fcntl(pipe.read_fd(), F_SETFL, O_NONBLOCK), 0);
+  ASSERT_TRUE(WriteAllToFd(pipe.write_fd(), header));
+  FrameDecoder decoder(1 << 20);
+  Frame frame;
+  EXPECT_FALSE(ReadFrameBlocking(pipe.read_fd(), &decoder, &frame));
+  EXPECT_TRUE(decoder.failed());
+  EXPECT_EQ(decoder.buffered(), kFrameHeaderSize);
+  EXPECT_TRUE(frame.payload.empty());
+}
+
+// ---------------------------------------------------------------------------
 // Server behavior over real sockets.
 
 TEST_F(NetFixture, ResultFrameIsByteIdenticalToFileManifestPath) {
@@ -443,6 +558,20 @@ TEST_F(NetFixture, SlowLorisGetsTimeoutFrameAndClose) {
   EXPECT_EQ(code, "TIMEOUT");
   EXPECT_EQ(PumpRecv(client.get(), &frame), NetClient::RecvResult::kClosed);
   EXPECT_EQ(server_->stats().timeouts, 1u);
+}
+
+TEST_F(NetFixture, StorageFrameFromClientIsProtocolErrorAndClose) {
+  Start(FastServeOptions(), FastNetOptions());
+  auto client = Connect();
+  ASSERT_TRUE(client->SendRaw(EncodeFrame(FrameType::kStorageCommand, "x")));
+  Frame frame;
+  ASSERT_EQ(PumpRecv(client.get(), &frame), NetClient::RecvResult::kFrame);
+  ASSERT_EQ(frame.type, FrameType::kError);
+  std::string code;
+  SplitErrorPayload(frame.payload, &code, nullptr);
+  EXPECT_EQ(code, "PROTOCOL");
+  EXPECT_EQ(PumpRecv(client.get(), &frame), NetClient::RecvResult::kClosed);
+  EXPECT_EQ(server_->stats().protocol_errors, 1u);
 }
 
 TEST_F(NetFixture, IdleConnectionsAreReaped) {

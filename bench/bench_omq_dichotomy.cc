@@ -9,11 +9,8 @@
 // budget; timeout rows show "deadline"/"budget" in the status column and
 // the closing watchdog table tallies timeout-vs-complete.
 //
-// --checkpoint-dir=PATH makes every OMQ evaluation crash-safe: chase
-// paths resume from round-boundary snapshots and the guarded path reuses
-// a saturated-portion snapshot instead of re-saturating. SIGINT/SIGTERM
-// cancel cooperatively, so an interrupted run still prints the partial
-// table (with "cancelled" rows) after a final checkpoint.
+// SIGINT/SIGTERM cancel cooperatively, so an interrupted run still
+// prints the partial table (with "cancelled" rows).
 
 #include <cstdio>
 
@@ -67,8 +64,7 @@ Instance MakeData(int n, uint64_t seed) {
   return db;
 }
 
-void Run(const ExecutionBudget& budget, const CheckpointFlags& checkpoint,
-         const BenchJsonFlags& json_flags) {
+void Run(const ExecutionBudget& budget, const BenchJsonFlags& json_flags) {
   TgdSet collapsing = ParseTgds("e11r2(X) -> e11r4(X).");
   TgdSet inert = ParseTgds("e11mark(X) -> e11marked(X).");
   BenchWatchdog watchdog;
@@ -88,7 +84,6 @@ void Run(const ExecutionBudget& budget, const CheckpointFlags& checkpoint,
           DecideUcqkEquivalenceOmqFullSchema(omq, 1, &governor);
       OmqEvalOptions eval_options;
       eval_options.governor = &governor;
-      eval_options.checkpoint_dir = checkpoint.dir;
       double rewriting_ms = -1;
       bool via_rewriting = false;
       if (meta.equivalent) {
@@ -122,7 +117,6 @@ void Run(const ExecutionBudget& budget, const CheckpointFlags& checkpoint,
           DecideUcqkEquivalenceOmqFullSchema(omq, 1, &governor);
       OmqEvalOptions eval_options;
       eval_options.governor = &governor;
-      eval_options.checkpoint_dir = checkpoint.dir;
       Stopwatch w2;
       bool direct = OmqHolds(omq, db, {}, eval_options);
       double direct_ms = w2.ElapsedMs();
@@ -148,11 +142,16 @@ void Run(const ExecutionBudget& budget, const CheckpointFlags& checkpoint,
 
 int main(int argc, char** argv) {
   gqe::ExecutionBudget budget = gqe::ParseBudgetFlags(&argc, argv);
-  gqe::CheckpointFlags checkpoint = gqe::ParseCheckpointFlags(&argc, argv);
   gqe::BenchJsonFlags json = gqe::ParseBenchJsonFlags(&argc, argv);
+  if (argc > 1) {
+    // Reject a flag this bench does not take rather than ignore it.
+    std::fprintf(stderr, "bench_omq_dichotomy: unknown argument '%s'\n",
+                 argv[1]);
+    return 2;
+  }
   gqe::CancelToken cancel = gqe::CancelToken::Create();
   budget.cancel = cancel;
   gqe::InstallBenchSignalHandlers(cancel);
-  gqe::Run(budget, checkpoint, json);
+  gqe::Run(budget, json);
   return 0;
 }

@@ -4,7 +4,9 @@
 //
 //  1. DecodeWorkerResult never crashes and never allocates toward a
 //     hostile string length; whatever it accepts has a status in range
-//     and strings no longer than the input.
+//     and strings no longer than the input, and re-encodes (as the
+//     supervisor does for the journal) to a blob that decodes to the same
+//     eval time.
 //
 //  2. Round-trip fidelity: a result built from fuzzer-chosen field
 //     bytes encodes and decodes back field for field, and every strict
@@ -33,6 +35,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (result.status > gqe::Status::kCancelled) __builtin_trap();
       if (result.id.size() + result.method.size() + result.witness.size() >
           size) {
+        __builtin_trap();
+      }
+      gqe::WorkerResult again;
+      if (!gqe::DecodeWorkerResult(gqe::EncodeWorkerResult(result), &again)
+               .ok() ||
+          again.eval_ms != result.eval_ms) {
         __builtin_trap();
       }
     }

@@ -108,10 +108,12 @@ class BinaryReader {
 /// integrity and as a cheap deterministic fingerprint of workloads.
 uint32_t Crc32(std::string_view data);
 
-/// Snapshot kinds carried in the envelope header, so a chase checkpoint
-/// can never be mistaken for a portion snapshot.
+/// Snapshot kinds carried in the envelope header, so bytes written as
+/// one kind (say, a chase checkpoint) can never decode as another.
 constexpr uint16_t kSnapshotKindChase = 1;
-constexpr uint16_t kSnapshotKindChaseTree = 2;
+/// Retired: guarded chase-tree portions were once cached on disk under
+/// kind 2. Kind 2 is never reused.
+constexpr uint16_t kSnapshotKindRetiredChaseTree = 2;
 constexpr uint16_t kSnapshotKindInstance = 3;
 /// Result blob a serve worker writes to its result pipe (serve/worker.h).
 constexpr uint16_t kSnapshotKindWorkerResult = 4;

@@ -223,7 +223,6 @@ ChaseTree BuildChaseTree(const Instance& db, const TgdSet& sigma,
     }
   }
   if (governor->Tripped()) tree.truncated = true;
-  tree.status = governor->status();
   return tree;
 }
 

@@ -52,11 +52,6 @@ struct ChaseTree {
   std::vector<ChaseBag> bags;
   bool truncated = false;  // a safety cap was hit (not just blocking)
 
-  /// Why the build stopped: kCompleted for a full (possibly blocked)
-  /// forest — including a max_depth stop, which is a requested bound —
-  /// any other value is the guard rail that truncated it.
-  Status status = Status::kCompleted;
-
   /// Index of the bag that introduced each null (by term), -1 for ground.
   int BagOfNull(Term null_term) const;
   std::vector<std::pair<Term, int>> null_home;  // internal map

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "chase/chase.h"
-#include "guarded/portion_snapshot.h"
 #include "query/evaluation.h"
 #include "query/tw_evaluation.h"
 
@@ -28,8 +27,7 @@ ChaseTree BuildPortion(const Instance& db, const TgdSet& sigma,
       static_cast<int>(MaxQueryVariables(query)) + options.extra_blocking;
   tree_options.max_depth = options.max_depth;
   tree_options.governor = governor;
-  return BuildOrLoadChaseTree(options.checkpoint_dir, db, sigma, tree_options,
-                              engine);
+  return BuildChaseTree(db, sigma, tree_options, engine);
 }
 
 /// Certifies each reported answer with a homomorphism into a bounded

@@ -1,7 +1,6 @@
 #ifndef GQE_GUARDED_OMQ_EVAL_H_
 #define GQE_GUARDED_OMQ_EVAL_H_
 
-#include <string>
 #include <vector>
 
 #include "base/governor.h"
@@ -33,12 +32,6 @@ struct GuardedEvalOptions {
   /// over the materialized portion (the FPT algorithm of Prop. 3.3(3)
   /// when the query is in UCQ_k); otherwise plain backtracking join.
   bool use_tree_dp = false;
-
-  /// When non-empty, the portion build reuses a saturated-portion
-  /// snapshot from this directory (matched by workload fingerprint,
-  /// validated by checksum) instead of re-saturating, and persists a
-  /// fresh snapshot after a complete build. See guarded/portion_snapshot.h.
-  std::string checkpoint_dir;
 
   /// Certificate collection. The guarded portion itself is not a chase
   /// prefix, so answers are certified independently: an

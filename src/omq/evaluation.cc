@@ -86,7 +86,6 @@ OmqEvalResult EvaluateOmq(const Omq& omq, const Instance& db,
     GuardedEvalOptions guarded_options;
     guarded_options.governor = governor;
     guarded_options.use_tree_dp = options.use_tree_dp;
-    guarded_options.checkpoint_dir = options.checkpoint_dir;
     guarded_options.witness = options.witness;
     GuardedAnswersResult guarded = EvaluateGuardedCertainAnswers(
         db, omq.sigma, omq.query, guarded_options);
@@ -159,7 +158,6 @@ bool OmqHolds(const Omq& omq, const Instance& db,
     GuardedEvalOptions guarded_options;
     guarded_options.governor = governor;
     guarded_options.use_tree_dp = options.use_tree_dp;
-    guarded_options.checkpoint_dir = options.checkpoint_dir;
     return GuardedCertainlyHolds(db, omq.sigma, omq.query, answer,
                                  guarded_options);
   }

@@ -58,13 +58,12 @@ struct OmqEvalOptions {
   /// answers (the Prop. 3.3(3) FPT algorithm when q ∈ UCQ_k).
   bool use_tree_dp = false;
 
-  /// When non-empty, crash-safe evaluation: the chase paths resume from
-  /// (and write) round-boundary snapshots in this directory instead of
-  /// re-chasing from scratch, and the guarded path reuses a
-  /// saturated-portion snapshot. Snapshot kinds share the directory
-  /// without clashing (chase-<round>.snap vs portion-<fp>.snap), and a
-  /// directory written by a different workload is detected by
-  /// fingerprint and ignored.
+  /// When non-empty, crash-safe evaluation for the two chase paths
+  /// (terminating and bounded): they resume from (and write)
+  /// round-boundary snapshots in this directory instead of re-chasing
+  /// from scratch, and a directory written by a different workload is
+  /// detected by fingerprint and ignored. The guarded path ignores it and
+  /// always builds its portion afresh.
   std::string checkpoint_dir;
 
   /// Certificate collection (verify/witness.h). Off by default: the

@@ -306,8 +306,16 @@ std::string EncodeWorkerResult(const WorkerResult& result) {
   writer.WriteU64(result.rounds_completed);
   writer.WriteBool(result.resumed);
   writer.WriteU64(result.resume_generation);
-  // eval_ms as microseconds; latency needs no float precision.
-  writer.WriteU64(static_cast<uint64_t>(result.eval_ms * 1000.0));
+  // eval_ms as microseconds; latency needs no float precision. The
+  // guards keep the cast defined (NaN fails `us > 0`).
+  const double us = result.eval_ms * 1000.0;
+  uint64_t eval_us = 0;
+  if (us >= static_cast<double>(kMaxEvalUs)) {
+    eval_us = kMaxEvalUs;
+  } else if (us > 0.0) {
+    eval_us = static_cast<uint64_t>(us);
+  }
+  writer.WriteU64(eval_us);
   writer.WriteString(result.witness);
   return WrapSnapshot(kSnapshotKindWorkerResult, writer.Take());
 }
@@ -338,6 +346,10 @@ SnapshotStatus DecodeWorkerResult(std::string_view bytes,
   if (status_raw < 0 || status_raw > static_cast<int32_t>(Status::kCancelled)) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,
                                 "worker result has impossible status");
+  }
+  if (eval_us > kMaxEvalUs) {
+    return SnapshotStatus::Fail(SnapshotError::kFormatError,
+                                "worker result has impossible eval time");
   }
   decoded.status = static_cast<Status>(status_raw);
   decoded.eval_ms = static_cast<double>(eval_us) / 1000.0;

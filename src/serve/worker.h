@@ -64,6 +64,7 @@ struct WorkerResult {
   bool resumed = false;
   uint64_t resume_generation = 0;
 
+  /// Travels as whole microseconds, at most kMaxEvalUs.
   double eval_ms = 0.0;
 
   /// Serialized EvalWitness blob (verify/witness.h), empty when witness
@@ -72,6 +73,12 @@ struct WorkerResult {
   /// the digest above.
   std::string witness;
 };
+
+/// Largest encoded `eval_ms` in microseconds: 2^53, below which every
+/// integer survives the round trip through double. The encoder maps NaN
+/// and negative times to 0 and caps larger ones here; the decoder rejects
+/// anything above it, so re-encoding a decoded result stays defined.
+constexpr uint64_t kMaxEvalUs = uint64_t{1} << 53;
 
 std::string EncodeWorkerResult(const WorkerResult& result);
 SnapshotStatus DecodeWorkerResult(std::string_view bytes,

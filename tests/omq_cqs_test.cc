@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <string_view>
+
 #include "cqs/containment.h"
 #include "cqs/cqs.h"
 #include "chase/chase.h"
@@ -13,6 +17,23 @@ namespace gqe {
 namespace {
 
 Term C(const char* name) { return Term::Constant(name); }
+
+/// A fresh, empty scratch directory for one test.
+std::string FreshDir(const std::string& name) {
+  std::string dir = ::testing::TempDir() + "gqe_omq_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Number of files in `dir` whose name starts with `prefix`.
+int CountFiles(const std::string& dir, std::string_view prefix) {
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().starts_with(prefix)) ++count;
+  }
+  return count;
+}
 
 TEST(OmqTest, FullDataSchemaDetection) {
   TgdSet sigma = ParseTgds("oa(X) -> ob(X).");
@@ -96,6 +117,51 @@ TEST(OmqEvaluationTest, OmqHoldsAgreesWithEvaluate) {
   OmqEvalOptions with_dp;
   with_dp.use_tree_dp = true;
   EXPECT_TRUE(OmqHolds(omq, db, {C("kim")}, with_dp));
+}
+
+TEST(OmqCheckpointTest, GuardedPathIgnoresCheckpointDir) {
+  // The guarded path always builds its portion afresh: a checkpoint
+  // directory changes neither its answers nor the directory.
+  TgdSet sigma = ParseTgds(R"(
+    cgstud(X) -> cgenr(X, Y).
+    cgenr(X, Y) -> cgstud(Y).
+  )");
+  ASSERT_TRUE(IsGuardedSet(sigma));
+  Omq omq = Omq::WithFullDataSchema(
+      sigma, ParseUcq("cgq(X) :- cgenr(X, Y), cgstud(Y)."));
+  Instance db = ParseDatabase("cgstud(ann). cgenr(bob, uni).");
+  OmqEvalResult plain = EvaluateOmq(omq, db);
+  OmqEvalOptions options;
+  options.checkpoint_dir = FreshDir("guarded");
+  OmqEvalResult checkpointed = EvaluateOmq(omq, db, options);
+  EXPECT_EQ(checkpointed.method, "guarded-portion");
+  EXPECT_EQ(checkpointed.answers, plain.answers);
+  EXPECT_EQ(plain.answers.size(), 3u);  // ann, bob and uni
+  EXPECT_TRUE(OmqHolds(omq, db, {C("uni")}, options));
+  EXPECT_FALSE(OmqHolds(omq, db, {C("cgnobody")}, options));
+  EXPECT_EQ(CountFiles(options.checkpoint_dir, "portion-"), 0);
+  std::filesystem::remove_all(options.checkpoint_dir);
+}
+
+TEST(OmqCheckpointTest, TerminatingChaseResumesFromCheckpointDir) {
+  // The terminating-chase path writes chase generations, and a second
+  // evaluation over the same directory resumes to the same answers.
+  TgdSet sigma = ParseTgds("ce2(X, Y), ce2(Y, Z) -> cf2(X, Z).");
+  ASSERT_FALSE(IsGuardedSet(sigma));
+  ASSERT_TRUE(IsObliviousChaseTerminating(sigma));
+  Omq omq =
+      Omq::WithFullDataSchema(sigma, ParseUcq("cq4(X, Z) :- cf2(X, Z)."));
+  Instance db = ParseDatabase("ce2(a, b). ce2(b, c). ce2(c, d).");
+  OmqEvalOptions options;
+  options.checkpoint_dir = FreshDir("terminating");
+  OmqEvalResult first = EvaluateOmq(omq, db, options);
+  EXPECT_EQ(first.method, "terminating-chase");
+  EXPECT_GT(CountFiles(options.checkpoint_dir, "chase-"), 0);
+  OmqEvalResult second = EvaluateOmq(omq, db, options);
+  EXPECT_EQ(second.answers, first.answers);
+  EXPECT_EQ(first.answers.size(), 2u);
+  EXPECT_EQ(EvaluateOmq(omq, db).answers, first.answers);
+  std::filesystem::remove_all(options.checkpoint_dir);
 }
 
 TEST(CqsEvaluationTest, ClosedWorldIgnoresChase) {

@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "chase/chase.h"
 #include "graph/treewidth.h"
 #include "guarded/omq_eval.h"
+#include "guarded/type_closure.h"
 #include "linear/linear_chase.h"
 #include "query/acyclic.h"
 #include "query/containment.h"
@@ -480,6 +484,202 @@ TEST_P(LinearEnginesAgree, RewritingVsChaseVsGuarded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LinearEnginesAgree, ::testing::Range(0, 15));
+
+// ---------------------------------------------------------------------
+// Engine pairs on random guarded sets: the guarded portion against the
+// terminating chase, and the portion's tree-DP verdict against its
+// backtracking verdict. Predicates eg0..eg5 have a level (their index)
+// and arities 1,2,2,3,2,1. Head atoms derive upward (an existential
+// head strictly above every body atom), except that one head atom in
+// eight may derive downward. So most sets have a terminating oblivious
+// chase, and the rest (infinite chases among them) exercise the filter
+// of the first pair and the blocking of the second.
+// ---------------------------------------------------------------------
+
+constexpr int kGuardedPredicates = 6;
+constexpr int kGuardedArity[kGuardedPredicates] = {1, 2, 2, 3, 2, 1};
+
+std::string GuardedPredicate(int i) { return "eg" + std::to_string(i); }
+
+/// An atom over predicate `pred` with arguments drawn from `vars`.
+Atom RandomAtomOver(int pred, const std::vector<Term>& vars,
+                    WorkloadRng* rng) {
+  std::vector<Term> args;
+  for (int i = 0; i < kGuardedArity[pred]; ++i) {
+    args.push_back(vars[rng->Below(vars.size())]);
+  }
+  return Atom::Make(GuardedPredicate(pred), args);
+}
+
+/// A random guarded set: each TGD's first body atom (over distinct
+/// variables) guards its side atoms and its head.
+TgdSet RandomGuardedSet(uint64_t seed) {
+  WorkloadRng rng(seed);
+  const std::vector<Term> pool = {Term::Variable("X"), Term::Variable("Y"),
+                                  Term::Variable("Z")};
+  const Term existential = Term::Variable("E");
+  TgdSet sigma;
+  const int num_tgds = 3 + static_cast<int>(rng.Below(3));
+  for (int t = 0; t < num_tgds; ++t) {
+    const int guard = 1 + static_cast<int>(rng.Below(kGuardedPredicates - 2));
+    std::vector<Term> vars(pool.begin(), pool.begin() + kGuardedArity[guard]);
+    std::vector<Atom> body = {Atom::Make(GuardedPredicate(guard), vars)};
+    int top = guard;
+    for (int side = static_cast<int>(rng.Below(3)); side > 0; --side) {
+      int pred = static_cast<int>(rng.Below(kGuardedPredicates));
+      if (kGuardedArity[pred] > kGuardedArity[guard]) pred = 0;
+      body.push_back(RandomAtomOver(pred, vars, &rng));
+      top = std::max(top, pred);
+    }
+    std::vector<Atom> head;
+    for (int h = 1 + static_cast<int>(rng.Below(2)); h > 0; --h) {
+      int pred = static_cast<int>(rng.Below(kGuardedPredicates));
+      const bool downward = rng.Chance(12);
+      if (pred < top && !downward) {
+        pred = top + static_cast<int>(rng.Below(kGuardedPredicates - top));
+      }
+      std::vector<Term> head_vars = vars;
+      if (rng.Chance(35) && pred > top) head_vars.push_back(existential);
+      head.push_back(RandomAtomOver(pred, head_vars, &rng));
+    }
+    sigma.push_back(Tgd(std::move(body), std::move(head)));
+  }
+  return sigma;
+}
+
+/// A random database over eg0..eg5 and three constants.
+Instance RandomGuardedDatabase(uint64_t seed) {
+  WorkloadRng rng(seed * 31 + 7);
+  std::vector<Term> constants;
+  for (int i = 0; i < 3; ++i) {
+    constants.push_back(Term::Constant("egc" + std::to_string(i)));
+  }
+  Instance db;
+  for (int f = 0; f < 12; ++f) {
+    db.Insert(RandomAtomOver(static_cast<int>(rng.Below(kGuardedPredicates)),
+                             constants, &rng));
+  }
+  return db;
+}
+
+/// A random CQ with answer variable QX and, on every fourth seed, QY.
+/// Its first atom is the last existential head of Σ that holds X, renamed
+/// (X, Y, Z, E to QX, QY, QX, QZ) so that its answers need nulls; without
+/// one, a binary atom over (QX, QY). One or two random atoms follow.
+UCQ RandomGuardedQuery(const TgdSet& sigma, uint64_t seed) {
+  WorkloadRng rng(seed * 17 + 3);
+  const std::vector<Term> vars = {Term::Variable("QX"), Term::Variable("QY"),
+                                  Term::Variable("QZ")};
+  Substitution rename;
+  rename.Set(Term::Variable("X"), vars[0]);
+  rename.Set(Term::Variable("Y"), vars[1]);
+  rename.Set(Term::Variable("Z"), vars[0]);
+  rename.Set(Term::Variable("E"), vars[2]);
+  const int anchor = 1 + static_cast<int>(rng.Below(2));
+  std::vector<Atom> atoms = {
+      Atom::Make(GuardedPredicate(anchor), {vars[0], vars[1]})};
+  for (const Tgd& tgd : sigma) {
+    for (const Atom& head : tgd.head()) {
+      if (head.Contains(Term::Variable("E")) &&
+          head.Contains(Term::Variable("X"))) {
+        atoms[0] = rename.Apply(head);
+      }
+    }
+  }
+  for (int a = 1 + static_cast<int>(rng.Below(2)); a > 0; --a) {
+    atoms.push_back(RandomAtomOver(
+        1 + static_cast<int>(rng.Below(kGuardedPredicates - 1)), vars, &rng));
+  }
+  std::vector<Term> answer = {vars[0]};
+  const bool has_qy = std::any_of(
+      atoms.begin(), atoms.end(),
+      [&vars](const Atom& atom) { return atom.Contains(vars[1]); });
+  if (seed % 4 == 1 && has_qy) answer.push_back(vars[1]);
+  return UCQ({CQ(answer, std::move(atoms))});
+}
+
+std::string GuardedCase(const TgdSet& sigma, const Instance& db,
+                        const UCQ& query) {
+  std::string out = TgdSetToString(sigma);
+  for (const Atom& fact : db.atoms()) out += fact.ToString() + ".\n";
+  return out + query.ToString();
+}
+
+using AnswerSet = std::set<std::vector<Term>>;
+
+constexpr int kGuardedSeeds = 30;
+
+TEST(GuardedEnginePairs, PortionMatchesTerminatingChase) {
+  int checked = 0;
+  int nonempty = 0;
+  for (int seed = 0; seed < kGuardedSeeds; ++seed) {
+    TgdSet sigma = RandomGuardedSet(seed);
+    ASSERT_TRUE(IsGuardedSet(sigma));
+    if (!IsObliviousChaseTerminating(sigma)) continue;
+    ++checked;
+    Instance db = RandomGuardedDatabase(seed);
+    UCQ query = RandomGuardedQuery(sigma, seed);
+    auto guarded = GuardedCertainAnswers(db, sigma, query);
+    ChaseResult chased = Chase(db, sigma);
+    ASSERT_TRUE(chased.complete) << GuardedCase(sigma, db, query);
+    AnswerSet via_chase;
+    for (auto& tuple : EvaluateUCQ(query, chased.instance)) {
+      if (std::all_of(tuple.begin(), tuple.end(),
+                      [&db](Term t) { return db.InDomain(t); })) {
+        via_chase.insert(std::move(tuple));
+      }
+    }
+    nonempty += !via_chase.empty();
+    EXPECT_EQ(AnswerSet(guarded.begin(), guarded.end()), via_chase)
+        << "seed " << seed << "\n" << GuardedCase(sigma, db, query);
+  }
+  // The filter must not hollow the oracle out: at least 20 seeds check,
+  // and a fair share of them compare non-empty answer sets.
+  EXPECT_GE(checked, 20);
+  EXPECT_GE(nonempty, 5);
+}
+
+TEST(GuardedEnginePairs, TreeDpAndBacktrackingAgreeOnPortion) {
+  GuardedEvalOptions join;
+  GuardedEvalOptions tree_dp;
+  tree_dp.use_tree_dp = true;
+  int positives = 0;
+  int candidates = 0;
+  for (int seed = 0; seed < kGuardedSeeds; ++seed) {
+    TgdSet sigma = RandomGuardedSet(seed);
+    ASSERT_TRUE(IsGuardedSet(sigma));
+    Instance db = RandomGuardedDatabase(seed);
+    UCQ query = RandomGuardedQuery(sigma, seed);
+    TypeClosureEngine engine(sigma);
+    auto answers = GuardedCertainAnswers(db, sigma, query, {}, &engine);
+    const AnswerSet certain(answers.begin(), answers.end());
+    const std::vector<Term>& domain = db.ActiveDomain();
+    const size_t arity = query.disjuncts()[0].answer_vars().size();
+    // Every tuple over dom(D), odometer order.
+    std::vector<size_t> digits(arity, 0);
+    for (bool more = true; more;) {
+      std::vector<Term> tuple;
+      for (size_t d : digits) tuple.push_back(domain[d]);
+      const bool by_join =
+          GuardedCertainlyHolds(db, sigma, query, tuple, join, &engine);
+      const bool by_tree_dp =
+          GuardedCertainlyHolds(db, sigma, query, tuple, tree_dp, &engine);
+      EXPECT_EQ(by_join, by_tree_dp) << "seed " << seed << "\n"
+                                     << GuardedCase(sigma, db, query);
+      EXPECT_EQ(by_join, certain.contains(tuple)) << "seed " << seed;
+      positives += by_join;
+      ++candidates;
+      more = false;
+      for (size_t i = 0; i < arity && !more; ++i) {
+        more = ++digits[i] < domain.size();
+        if (!more) digits[i] = 0;
+      }
+    }
+  }
+  // Both verdicts occur, so neither engine passes by answering constantly.
+  EXPECT_GT(positives, 0);
+  EXPECT_LT(positives, candidates);
+}
 
 // ---------------------------------------------------------------------
 // Treewidth invariants on random graphs.

@@ -112,7 +112,7 @@ TEST(SerializeTest, EnvelopeRejectsCorruption) {
             SnapshotError::kBadMagic);
 
   // Wrong kind.
-  EXPECT_EQ(UnwrapSnapshot(good, kSnapshotKindChaseTree, &out).error,
+  EXPECT_EQ(UnwrapSnapshot(good, kSnapshotKindInstance, &out).error,
             SnapshotError::kFormatError);
 
   // Every rejection has a distinct, printable name.

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,57 @@ TEST(ServeWorkerResultTest, EncodeDecodeRoundTrip) {
       DecodeWorkerResult(std::string_view(bytes).substr(0, bytes.size() / 2),
                          &garbage)
           .ok());
+}
+
+/// A CRC-valid worker result blob, field for field as EncodeWorkerResult
+/// lays it out, carrying `eval_us` verbatim.
+std::string WorkerResultBlob(uint64_t eval_us) {
+  BinaryWriter writer;
+  writer.WriteString("r-1");
+  writer.WriteI32(static_cast<int32_t>(Status::kCompleted));
+  writer.WriteBool(true);
+  writer.WriteBool(false);
+  writer.WriteString("cq");
+  writer.WriteU64(1);
+  writer.WriteU32(2);
+  writer.WriteU64(3);
+  writer.WriteU64(0);
+  writer.WriteBool(false);
+  writer.WriteU64(0);
+  writer.WriteU64(eval_us);
+  writer.WriteString("");
+  return WrapSnapshot(kSnapshotKindWorkerResult, writer.Take());
+}
+
+TEST(ServeWorkerResultTest, EvalTimeIsBounded) {
+  // The supervisor re-encodes decoded results into journal records, so a
+  // decoded eval time must convert back to microseconds without UB.
+  WorkerResult decoded;
+  ASSERT_TRUE(DecodeWorkerResult(WorkerResultBlob(kMaxEvalUs), &decoded).ok());
+  EXPECT_EQ(decoded.eval_ms, static_cast<double>(kMaxEvalUs) / 1000.0);
+  WorkerResult again;
+  ASSERT_TRUE(DecodeWorkerResult(EncodeWorkerResult(decoded), &again).ok());
+  EXPECT_EQ(again.eval_ms, decoded.eval_ms);
+
+  const SnapshotStatus huge = DecodeWorkerResult(
+      WorkerResultBlob(std::numeric_limits<uint64_t>::max()), &decoded);
+  EXPECT_EQ(huge.error, SnapshotError::kFormatError);
+  EXPECT_FALSE(
+      DecodeWorkerResult(WorkerResultBlob(kMaxEvalUs + 1), &decoded).ok());
+
+  // The encoder maps NaN and negative times to 0 and caps large ones.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double in : {kNan, -5.0, -kInf, 1e300, kInf}) {
+    WorkerResult result;
+    result.eval_ms = in;
+    WorkerResult out;
+    ASSERT_TRUE(DecodeWorkerResult(EncodeWorkerResult(result), &out).ok())
+        << in;
+    EXPECT_EQ(out.eval_ms,
+              in > 0 ? static_cast<double>(kMaxEvalUs) / 1000.0 : 0.0)
+        << in;
+  }
 }
 
 /// Runs one invocation in this process and decodes its result; the exit

@@ -215,6 +215,10 @@ void EncodeInstance(const Instance& instance, BinaryWriter* writer);
 
 /// Decodes a fact sequence into `out` (appending). Validates predicate
 /// ids, arities and term kinds against the (already decoded) interner.
+/// No snapshot kind decodes through it (chase snapshots carry atom
+/// vectors, storage fragments their own records): it is the reference
+/// decoder that the EncodeInstance round-trip tests check the encoding
+/// against.
 SnapshotStatus DecodeInstance(BinaryReader* reader, Instance* out);
 
 }  // namespace gqe

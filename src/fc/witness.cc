@@ -1,9 +1,6 @@
 #include "fc/witness.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "chase/chase.h"
 #include "guarded/chase_tree.h"
@@ -11,21 +8,9 @@
 #include "guarded/saturation.h"
 #include "guarded/type_closure.h"
 #include "query/evaluation.h"
-#include "query/homomorphism.h"
 #include "query/substitution.h"
 
 namespace gqe {
-
-namespace {
-
-struct WitnessBag {
-  std::vector<Term> elements;
-  int parent = -1;
-  std::string shape;
-  std::vector<Term> order;  // canonical order matching `shape`
-};
-
-}  // namespace
 
 FiniteWitness BuildFiniteWitness(const Instance& db, const TgdSet& sigma,
                                  int n, const FiniteWitnessOptions& options) {
@@ -57,141 +42,29 @@ FiniteWitness BuildFiniteWitness(const Instance& db, const TgdSet& sigma,
     }
   }
 
-  // Attempt 2: fold the guarded chase at repeated shapes. Cycle lengths
-  // exceed the blocking threshold, so queries with <= n variables cannot
-  // distinguish the folded model from the chase.
+  // Attempt 2: fold the guarded chase at repeated shapes. A child whose
+  // shape already occurs n+1 times on its path is not materialized: its
+  // head atoms land on the topmost same-shape ancestor instead, its nulls
+  // renamed through the two bags' canonical orders. Cycle lengths exceed
+  // n, so queries with <= n variables cannot distinguish the folded model
+  // from the chase.
   TypeClosureEngine engine(sigma);
-  Instance portion = GroundSaturation(db, sigma, &engine);
-  governor->ChargeFacts(portion.size());
-  auto try_insert = [&](const Atom& atom) {
-    if (portion.Contains(atom)) return true;
-    if (governor->ChargeFacts(1) != Status::kCompleted) return false;
-    portion.Insert(atom);
-    return true;
-  };
-  std::vector<WitnessBag> bags;
-  std::deque<int> queue;
-  std::unordered_set<std::string> roots_seen;
-  const int blocking_repeats = n + 1;
-
-  for (uint32_t f = 0; f < portion.size(); ++f) {
-    std::vector<Term> elements;
-    CollectGroundTerms(portion.args_of(f), &elements);
-    std::string root_key;
-    for (Term t : elements) root_key += std::to_string(t.bits()) + ",";
-    if (!roots_seen.insert(root_key).second) continue;
-    WitnessBag bag;
-    bag.elements = elements;
-    std::vector<Atom> bag_atoms = portion.AtomsOver(elements);
-    bag.shape = BagShapeKey(bag_atoms, elements, &bag.order);
-    bags.push_back(std::move(bag));
-    queue.push_back(static_cast<int>(bags.size()) - 1);
-  }
-
-  std::unordered_set<std::string> fired;
-  while (!queue.empty()) {
-    if (governor->Check() != Status::kCompleted) break;
-    const int bag_index = queue.front();
-    queue.pop_front();
-    const std::vector<Term> elements = bags[bag_index].elements;
-    std::vector<Atom> closed =
-        engine.Closure(portion.AtomsOver(elements), elements);
-    for (const Atom& atom : closed) {
-      if (!try_insert(atom)) break;
-    }
-    if (governor->Tripped()) break;
-    Instance bag_instance;
-    bag_instance.InsertAll(closed);
-
-    for (size_t tgd_index = 0; tgd_index < sigma.size(); ++tgd_index) {
-      const Tgd& tgd = sigma[tgd_index];
-      if (tgd.IsFull()) continue;
-      const std::vector<Term> frontier = tgd.Frontier();
-      const std::vector<Term> existentials = tgd.ExistentialVariables();
-      const std::vector<Term> body_vars = tgd.BodyVariables();
-      HomOptions hom_options;
-      hom_options.governor = governor;
-      std::vector<Substitution> triggers =
-          HomomorphismSearch(tgd.body(), bag_instance, hom_options).FindAll();
-      for (const Substitution& sub : triggers) {
-        if (governor->Tripped()) break;
-        std::string trigger_key = std::to_string(tgd_index);
-        for (Term v : body_vars) {
-          trigger_key += ":" + std::to_string(sub.Apply(v).bits());
+  ChaseTree folded = UnfoldChaseTree(
+      db, sigma, std::max(n, 0) + 1, governor, &engine,
+      [&witness](ChildBag&& child, BagForest* forest) {
+        const std::vector<Term>& target =
+            forest->tree.bags[child.topmost].order;
+        Substitution fold;
+        for (Term null : child.new_nulls) {
+          auto it = std::find(child.bag.order.begin(), child.bag.order.end(),
+                              null);
+          fold.Set(null, target[it - child.bag.order.begin()]);
         }
-        if (!fired.insert(trigger_key).second) continue;
-
-        Substitution extended = sub;
-        std::vector<Term> child_elements;
-        for (Term x : frontier) {
-          Term image = sub.Apply(x);
-          if (std::find(child_elements.begin(), child_elements.end(),
-                        image) == child_elements.end()) {
-            child_elements.push_back(image);
-          }
+        for (const Atom& atom : child.head) {
+          if (!forest->Insert(fold.Apply(atom))) break;
         }
-        std::vector<Term> new_nulls;
-        for (Term z : existentials) {
-          Term null = Term::FreshNull();
-          extended.Set(z, null);
-          child_elements.push_back(null);
-          new_nulls.push_back(null);
-        }
-        std::vector<Atom> child_atoms;
-        for (const Atom& head_atom : tgd.head()) {
-          child_atoms.push_back(extended.Apply(head_atom));
-        }
-        for (const Atom& atom : bag_instance.AtomsOver(child_elements)) {
-          child_atoms.push_back(atom);
-        }
-        std::vector<Atom> child_closed =
-            engine.Closure(child_atoms, child_elements);
-        std::vector<Term> child_order;
-        const std::string child_shape =
-            BagShapeKey(child_closed, child_elements, &child_order);
-
-        // Count the shape on the ancestor path and remember the topmost
-        // occurrence.
-        int repeats = 0;
-        int topmost = -1;
-        for (int a = bag_index; a != -1; a = bags[a].parent) {
-          if (bags[a].shape == child_shape) {
-            ++repeats;
-            topmost = a;
-          }
-        }
-        if (repeats >= blocking_repeats && topmost >= 0) {
-          // Fold: redirect the existential witnesses to the topmost
-          // same-shape ancestor via the canonical isomorphism.
-          const WitnessBag& target = bags[topmost];
-          Substitution fold = sub;
-          for (size_t z = 0; z < existentials.size(); ++z) {
-            Term null = new_nulls[z];
-            auto it = std::find(child_order.begin(), child_order.end(), null);
-            const size_t position =
-                static_cast<size_t>(it - child_order.begin());
-            fold.Set(existentials[z], target.order[position]);
-          }
-          for (const Atom& head_atom : tgd.head()) {
-            if (!try_insert(fold.Apply(head_atom))) break;
-          }
-          ++witness.folds;
-          continue;
-        }
-        // Materialize the child normally.
-        for (const Atom& atom : child_closed) {
-          if (!try_insert(atom)) break;
-        }
-        WitnessBag child;
-        child.elements = child_elements;
-        child.parent = bag_index;
-        child.shape = child_shape;
-        child.order = child_order;
-        bags.push_back(std::move(child));
-        queue.push_back(static_cast<int>(bags.size()) - 1);
-      }
-    }
-  }
+        ++witness.folds;
+      });
 
   // Attempt 3: patch residual violations (folding can expose new guarded
   // sets) with a bounded restricted chase, sharing the same governor (the
@@ -199,7 +72,7 @@ FiniteWitness BuildFiniteWitness(const Instance& db, const TgdSet& sigma,
   ChaseOptions patch_options;
   patch_options.restricted = true;
   patch_options.governor = governor;
-  ChaseResult patched = Chase(portion, sigma, patch_options);
+  ChaseResult patched = Chase(folded.portion, sigma, patch_options);
   witness.model = std::move(patched.instance);
   witness.is_model = patched.complete;
   witness.status = governor->status();
@@ -209,20 +82,8 @@ FiniteWitness BuildFiniteWitness(const Instance& db, const TgdSet& sigma,
 
 bool WitnessAgreesOnQuery(const FiniteWitness& witness, const Instance& db,
                           const TgdSet& sigma, const UCQ& query) {
-  std::vector<std::vector<Term>> closed_world;
-  for (auto& tuple : EvaluateUCQ(query, witness.model)) {
-    bool over_db = true;
-    for (Term t : tuple) {
-      if (!db.InDomain(t)) {
-        over_db = false;
-        break;
-      }
-    }
-    if (over_db) closed_world.push_back(std::move(tuple));
-  }
-  std::vector<std::vector<Term>> certain =
-      GuardedCertainAnswers(db, sigma, query);
-  return closed_world == certain;
+  return FilterToDomain(EvaluateUCQ(query, witness.model), db) ==
+         GuardedCertainAnswers(db, sigma, query);
 }
 
 OmqToCqsReduction ReduceOmqToCqs(const Omq& omq, const Instance& db,

@@ -16,10 +16,12 @@ namespace gqe {
 /// every UCQ q with at most n variables. The paper obtains such witnesses
 /// non-constructively through GNFO's 2^2^poly finite-model property
 /// (Theorem 6.7); this module builds them constructively by *folding* the
-/// guarded chase: the bag forest is unfolded until a bag shape repeats
-/// n+1 times on a path, and the blocked bag's existential witnesses are
-/// redirected to the path-topmost bag of the same shape, closing cycles
-/// of length > n that no n-variable query can see.
+/// guarded chase: the bag forest of the chase portion (UnfoldChaseTree)
+/// is unfolded until a bag shape repeats n+1 times on a path, and the
+/// blocked bag's existential witnesses are redirected to the path-topmost
+/// bag of the same shape, closing cycles of length > n that no
+/// n-variable query can see. Bags at kMaxBagDepth are not expanded; the
+/// validating patch chase then decides whether the result is a model.
 struct FiniteWitness {
   Instance model;
 
@@ -39,8 +41,6 @@ struct FiniteWitness {
 };
 
 struct FiniteWitnessOptions {
-  int max_depth = 64;
-
   /// Resource limits for the fold loop and the validation patch chase.
   /// Ignored when `governor` is set.
   ExecutionBudget budget;

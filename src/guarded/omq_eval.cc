@@ -20,12 +20,11 @@ size_t MaxQueryVariables(const UCQ& query) {
 }
 
 ChaseTree BuildPortion(const Instance& db, const TgdSet& sigma,
-                       const UCQ& query, const GuardedEvalOptions& options,
-                       Governor* governor, TypeClosureEngine* engine) {
+                       const UCQ& query, Governor* governor,
+                       TypeClosureEngine* engine) {
   ChaseTreeOptions tree_options;
   tree_options.blocking_repeats =
-      static_cast<int>(MaxQueryVariables(query)) + options.extra_blocking;
-  tree_options.max_depth = options.max_depth;
+      static_cast<int>(MaxQueryVariables(query)) + 1;
   tree_options.governor = governor;
   return BuildChaseTree(db, sigma, tree_options, engine);
 }
@@ -77,21 +76,10 @@ GuardedAnswersResult EvaluateGuardedCertainAnswers(
   GovernorScope scope(options.governor, options.budget);
   Governor* governor = scope.get();
   GuardedAnswersResult result;
-  ChaseTree tree = BuildPortion(db, sigma, query, options, governor, engine);
+  ChaseTree tree = BuildPortion(db, sigma, query, governor, engine);
   result.portion_truncated = tree.truncated;
-  std::vector<std::vector<Term>> raw =
-      EvaluateUCQ(query, tree.portion, /*limit=*/0, governor);
-  // Certain answers range over the constants of the input database only.
-  for (auto& tuple : raw) {
-    bool over_db = true;
-    for (Term t : tuple) {
-      if (!db.InDomain(t)) {
-        over_db = false;
-        break;
-      }
-    }
-    if (over_db) result.answers.push_back(std::move(tuple));
-  }
+  result.answers = FilterToDomain(
+      EvaluateUCQ(query, tree.portion, /*limit=*/0, governor), db);
   result.status = governor->status();
   if (options.witness.collect) {
     CertifyAnswers(db, sigma, query, options.witness, &result);
@@ -112,7 +100,7 @@ bool GuardedCertainlyHolds(const Instance& db, const TgdSet& sigma,
                            TypeClosureEngine* engine) {
   GovernorScope scope(options.governor, options.budget);
   Governor* governor = scope.get();
-  ChaseTree tree = BuildPortion(db, sigma, query, options, governor, engine);
+  ChaseTree tree = BuildPortion(db, sigma, query, governor, engine);
   if (options.use_tree_dp) {
     return HoldsUcqTreeDp(query, tree.portion, answer, governor);
   }

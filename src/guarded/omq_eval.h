@@ -14,13 +14,11 @@
 namespace gqe {
 
 /// Options for guarded certain-answer evaluation.
+///
+/// The portion blocks a bag whose shape repeats (#query variables + 1)
+/// times on its path (see DESIGN.md §2 item 3) and expands no bag deeper
+/// than kMaxBagDepth.
 struct GuardedEvalOptions {
-  /// Extra shape repetitions beyond the query's variable count before
-  /// blocking (completeness slack; see DESIGN.md §2.3).
-  int extra_blocking = 1;
-
-  int max_depth = 128;
-
   /// Resource limits shared by the portion build and the query
   /// evaluation over it. Ignored when `governor` is set.
   ExecutionBudget budget;
@@ -28,9 +26,11 @@ struct GuardedEvalOptions {
   /// Optional shared governor (see ChaseOptions::governor).
   Governor* governor = nullptr;
 
-  /// Use the Proposition 2.1 tree-decomposition DP to evaluate the UCQ
-  /// over the materialized portion (the FPT algorithm of Prop. 3.3(3)
-  /// when the query is in UCQ_k); otherwise plain backtracking join.
+  /// GuardedCertainlyHolds only: decide the candidate answer over the
+  /// materialized portion with the Proposition 2.1 tree-decomposition DP
+  /// (the FPT algorithm of Prop. 3.3(3) when the query is in UCQ_k)
+  /// instead of the backtracking join. EvaluateGuardedCertainAnswers
+  /// always enumerates answers with the backtracking join.
   bool use_tree_dp = false;
 
   /// Certificate collection. The guarded portion itself is not a chase

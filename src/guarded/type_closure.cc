@@ -7,39 +7,11 @@
 #include <span>
 #include <unordered_set>
 
+#include "guarded/chase_tree.h"
 #include "query/homomorphism.h"
 #include "query/substitution.h"
 
 namespace gqe {
-
-namespace {
-
-/// Serializes atoms over placeholder indices for canonical comparison.
-std::string SerializeAtoms(const std::vector<Atom>& atoms,
-                           const std::unordered_map<Term, int>& index) {
-  std::vector<std::string> parts;
-  parts.reserve(atoms.size());
-  for (const Atom& atom : atoms) {
-    std::string s = std::to_string(atom.predicate());
-    s += "(";
-    for (Term t : atom.args()) {
-      s += std::to_string(index.at(t));
-      s += ",";
-    }
-    s += ")";
-    parts.push_back(std::move(s));
-  }
-  std::sort(parts.begin(), parts.end());
-  parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
-  std::string key;
-  for (const auto& p : parts) {
-    key += p;
-    key += ";";
-  }
-  return key;
-}
-
-}  // namespace
 
 Term TypeClosureEngine::Placeholder(int i) {
   static std::vector<Term>* const kPlaceholders = new std::vector<Term>();
@@ -56,44 +28,10 @@ TypeClosureEngine::TypeClosureEngine(const TgdSet& sigma) : sigma_(sigma) {
   }
 }
 
-std::string TypeClosureEngine::Canonicalize(const std::vector<Atom>& atoms,
-                                            const std::vector<Term>& elements,
-                                            std::vector<Term>* order) const {
-  std::vector<Term> perm = elements;
-  std::sort(perm.begin(), perm.end());
-  perm.erase(std::unique(perm.begin(), perm.end()), perm.end());
-  std::string best;
-  std::vector<Term> best_order;
-  std::vector<Term> current = perm;
-  // Try all orderings; pick the lexicographically smallest serialization.
-  // Bag sizes are bounded by the schema arity / rule width, so the
-  // factorial blow-up is a small constant.
-  std::sort(current.begin(), current.end());
-  do {
-    std::unordered_map<Term, int> index;
-    for (size_t i = 0; i < current.size(); ++i) {
-      index[current[i]] = static_cast<int>(i);
-    }
-    std::string key = SerializeAtoms(atoms, index);
-    if (best.empty() || key < best) {
-      best = key;
-      best_order = current;
-    }
-  } while (std::next_permutation(current.begin(), current.end()));
-  if (best.empty()) {
-    // No elements (0-ary bag).
-    std::unordered_map<Term, int> index;
-    best = SerializeAtoms(atoms, index);
-    best_order.clear();
-  }
-  *order = best_order;
-  return best;
-}
-
 std::string TypeClosureEngine::InternBag(const std::vector<Atom>& atoms,
                                          const std::vector<Term>& elements,
                                          std::vector<Term>* order) {
-  std::string key = Canonicalize(atoms, elements, order);
+  std::string key = BagShapeKey(atoms, elements, order);
   auto it = entries_.find(key);
   if (it != entries_.end()) return key;
   Entry entry;
@@ -106,9 +44,7 @@ std::string TypeClosureEngine::InternBag(const std::vector<Atom>& atoms,
     std::vector<Term> args;
     args.reserve(atom.args().size());
     for (Term t : atom.args()) args.push_back(rename.at(t));
-    Atom canonical(atom.predicate(), std::move(args));
-    entry.base_atoms.push_back(canonical);
-    entry.closure.Insert(canonical);
+    entry.closure.Insert(Atom(atom.predicate(), std::move(args)));
   }
   entries_.emplace(key, std::move(entry));
   return key;

@@ -47,19 +47,13 @@ class TypeClosureEngine {
 
  private:
   struct Entry {
-    std::vector<Atom> base_atoms;    // canonical atoms (over placeholders)
-    Instance closure;                // current closure (over placeholders)
+    Instance closure;  // current closure (over placeholders)
     int num_elements = 0;
   };
 
-  /// Canonicalizes a bag: renames `elements` to placeholders minimizing
-  /// the serialized atom set. Returns the key; `order` receives the
-  /// element order used (order[i] = element mapped to Placeholder(i)).
-  std::string Canonicalize(const std::vector<Atom>& atoms,
-                           const std::vector<Term>& elements,
-                           std::vector<Term>* order) const;
-
-  /// Ensures an entry exists for the canonicalized bag; returns its key.
+  /// Ensures an entry exists for the bag's canonical shape (BagShapeKey);
+  /// returns the key. `order` receives the element order used
+  /// (order[i] = element mapped to Placeholder(i)).
   std::string InternBag(const std::vector<Atom>& atoms,
                         const std::vector<Term>& elements,
                         std::vector<Term>* order);

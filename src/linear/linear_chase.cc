@@ -1,6 +1,6 @@
 #include "linear/linear_chase.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "chase/chase.h"
 #include "linear/rewriting.h"
@@ -8,37 +8,10 @@
 
 namespace gqe {
 
-namespace {
-
-/// Keeps only tuples over dom(db).
-std::vector<std::vector<Term>> FilterToDomain(
-    std::vector<std::vector<Term>> tuples, const Instance& db) {
-  std::vector<std::vector<Term>> out;
-  for (auto& tuple : tuples) {
-    bool inside = true;
-    for (Term t : tuple) {
-      if (!db.InDomain(t)) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) out.push_back(std::move(tuple));
-  }
-  return out;
-}
-
-}  // namespace
-
 LinearChaseEvalResult LinearCertainAnswersViaChase(const Instance& db,
                                                    const TgdSet& sigma,
                                                    const UCQ& query,
-                                                   int max_level,
-                                                   int stable_window) {
-  // `stable_window` is retained for API stability but unused: an early
-  // exit on a temporarily-stable answer set is unsound (answers can first
-  // appear at any level up to the Lemma A.1 bound), so the evaluation
-  // always runs to max_level and reports where the answers last changed.
-  (void)stable_window;
+                                                   int max_level) {
   LinearChaseEvalResult result;
   ChaseOptions options;
   options.max_level = max_level;

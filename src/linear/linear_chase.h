@@ -26,15 +26,15 @@ struct LinearChaseEvalResult {
   bool hit_level_cap = false;
 };
 
-/// Evaluates a UCQ over the level-bounded chase of a linear set,
-/// increasing the level until the answer set is unchanged for
-/// `stable_window` additional levels (empirically demonstrating the
-/// Lemma A.1 bound) or `max_level` is reached.
+/// Evaluates a UCQ over the chase of a linear set built to `max_level`
+/// (or to saturation, if sooner) and reports the level at which the
+/// answer set last changed. It never stops early on an answer set that
+/// stayed the same for a few levels: answers can first appear at any
+/// level up to the Lemma A.1 bound, so such a stop would be unsound.
 LinearChaseEvalResult LinearCertainAnswersViaChase(const Instance& db,
                                                    const TgdSet& sigma,
                                                    const UCQ& query,
-                                                   int max_level = 32,
-                                                   int stable_window = 3);
+                                                   int max_level = 32);
 
 /// Exact certain answers via UCQ rewriting (Proposition D.2): rewrite
 /// first, then evaluate over D directly.

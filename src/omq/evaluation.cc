@@ -12,45 +12,6 @@ namespace gqe {
 
 namespace {
 
-std::vector<std::vector<Term>> FilterToDomain(
-    std::vector<std::vector<Term>> tuples, const Instance& db) {
-  std::vector<std::vector<Term>> out;
-  for (auto& tuple : tuples) {
-    bool inside = true;
-    for (Term t : tuple) {
-      if (!db.InDomain(t)) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) out.push_back(std::move(tuple));
-  }
-  return out;
-}
-
-/// FilterToDomain keeping the per-answer witness list aligned.
-std::vector<std::vector<Term>> FilterToDomainWithWitnesses(
-    std::vector<std::vector<Term>> tuples, const Instance& db,
-    std::vector<HomWitness>* witnesses) {
-  std::vector<std::vector<Term>> out;
-  std::vector<HomWitness> kept;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    bool inside = true;
-    for (Term t : tuples[i]) {
-      if (!db.InDomain(t)) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) {
-      out.push_back(std::move(tuples[i]));
-      if (i < witnesses->size()) kept.push_back(std::move((*witnesses)[i]));
-    }
-  }
-  *witnesses = std::move(kept);
-  return out;
-}
-
 /// Chase with optional crash-safe resume: with a checkpoint directory
 /// the saturated (or level-bounded) chase is resumed from its last good
 /// snapshot — a complete snapshot short-circuits the whole re-chase.
@@ -85,7 +46,6 @@ OmqEvalResult EvaluateOmq(const Omq& omq, const Instance& db,
     result.method = "guarded-portion";
     GuardedEvalOptions guarded_options;
     guarded_options.governor = governor;
-    guarded_options.use_tree_dp = options.use_tree_dp;
     guarded_options.witness = options.witness;
     GuardedAnswersResult guarded = EvaluateGuardedCertainAnswers(
         db, omq.sigma, omq.query, guarded_options);
@@ -119,8 +79,7 @@ OmqEvalResult EvaluateOmq(const Omq& omq, const Instance& db,
       result.answers = EvaluateUCQWithWitnesses(
           omq.query, chased.instance, &result.witness.answers, /*limit=*/0,
           governor);
-      result.answers =
-          FilterToDomainWithWitnesses(std::move(result.answers), db,
+      result.answers = FilterToDomain(std::move(result.answers), db,
                                       &result.witness.answers);
       result.witness.kind = EvalWitness::Kind::kChaseAndAnswers;
       result.witness.derivation = std::move(chased.derivation);

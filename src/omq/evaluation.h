@@ -54,8 +54,11 @@ struct OmqEvalOptions {
   /// Optional shared governor (see ChaseOptions::governor).
   Governor* governor = nullptr;
 
-  /// Use the Prop. 2.1 tree-decomposition DP when deciding candidate
-  /// answers (the Prop. 3.3(3) FPT algorithm when q ∈ UCQ_k).
+  /// OmqHolds only: decide the candidate answer with the Prop. 2.1
+  /// tree-decomposition DP (the Prop. 3.3(3) FPT algorithm when
+  /// q ∈ UCQ_k) instead of the backtracking join; on guarded ontologies
+  /// it is passed on to GuardedCertainlyHolds. EvaluateOmq enumerates
+  /// answers with the backtracking join and ignores it.
   bool use_tree_dp = false;
 
   /// When non-empty, crash-safe evaluation for the two chase paths

@@ -90,6 +90,25 @@ std::vector<std::vector<Term>> EvaluateUCQWithWitnesses(
   return answers;
 }
 
+std::vector<std::vector<Term>> FilterToDomain(
+    std::vector<std::vector<Term>> tuples, const Instance& db,
+    std::vector<HomWitness>* witnesses) {
+  std::vector<std::vector<Term>> out;
+  std::vector<HomWitness> kept;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (!std::all_of(tuples[i].begin(), tuples[i].end(),
+                     [&db](Term t) { return db.InDomain(t); })) {
+      continue;
+    }
+    out.push_back(std::move(tuples[i]));
+    if (witnesses != nullptr && i < witnesses->size()) {
+      kept.push_back(std::move((*witnesses)[i]));
+    }
+  }
+  if (witnesses != nullptr) *witnesses = std::move(kept);
+  return out;
+}
+
 bool FindUcqAnswerWitness(const UCQ& ucq, const Instance& db,
                           const std::vector<Term>& answer, HomWitness* out,
                           Governor* governor) {

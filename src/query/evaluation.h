@@ -35,6 +35,14 @@ std::vector<std::vector<Term>> EvaluateUCQWithWitnesses(
     const UCQ& ucq, const Instance& db, std::vector<HomWitness>* witnesses,
     size_t limit = 0, Governor* governor = nullptr);
 
+/// The tuples whose terms all lie in dom(db), in their input order:
+/// certain answers range over the input database's constants only. With
+/// `witnesses` (aligned with `tuples` on entry) the witnesses of the
+/// dropped tuples are dropped too.
+std::vector<std::vector<Term>> FilterToDomain(
+    std::vector<std::vector<Term>> tuples, const Instance& db,
+    std::vector<HomWitness>* witnesses = nullptr);
+
 /// Finds a homomorphism certificate for one candidate answer: the first
 /// disjunct (and first homomorphism) placing the query in `db` at
 /// `answer`. Returns false when the answer does not hold (or the

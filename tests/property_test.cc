@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "fc/witness.h"
 #include "graph/treewidth.h"
 #include "guarded/omq_eval.h"
 #include "guarded/type_closure.h"
@@ -679,6 +680,44 @@ TEST(GuardedEnginePairs, TreeDpAndBacktrackingAgreeOnPortion) {
   // Both verdicts occur, so neither engine passes by answering constantly.
   EXPECT_GT(positives, 0);
   EXPECT_LT(positives, candidates);
+}
+
+// Engine pair 3: the finite witness M(D, Σ, n) of Definition 6.5, n the
+// query's variable count, must contain D, satisfy Σ (checked here, not
+// only by its own is_model flag) and have closed-world answers over
+// dom(D) equal to the portion's certain answers. From seed kGuardedSeeds
+// on, Σ also gets the recursive rule eg1(X, Y) -> eg1(Y, E). An eg1
+// fact whose target has no eg1 successor then starts an infinite
+// restricted chase, and the witness folds blocked bags onto their
+// ancestors instead.
+TEST(GuardedEnginePairs, FiniteWitnessMatchesCertainAnswers) {
+  const Term x = Term::Variable("X");
+  const Term y = Term::Variable("Y");
+  const Term e = Term::Variable("E");
+  const Tgd recursive({Atom::Make(GuardedPredicate(1), {x, y})},
+                      {Atom::Make(GuardedPredicate(1), {y, e})});
+  int checked = 0;
+  int folded = 0;
+  for (int seed = 0; seed < 2 * kGuardedSeeds; ++seed) {
+    TgdSet sigma = RandomGuardedSet(seed);
+    if (seed >= kGuardedSeeds) sigma.push_back(recursive);
+    ASSERT_TRUE(IsGuardedSet(sigma));
+    Instance db = RandomGuardedDatabase(seed);
+    UCQ query = RandomGuardedQuery(sigma, seed);
+    const int n =
+        static_cast<int>(query.disjuncts()[0].AllVariables().size());
+    FiniteWitness witness = BuildFiniteWitness(db, sigma, n);
+    EXPECT_TRUE(witness.is_model && db.SubsetOf(witness.model) &&
+                Satisfies(witness.model, sigma))
+        << "seed " << seed << "\n" << GuardedCase(sigma, db, query);
+    EXPECT_TRUE(WitnessAgreesOnQuery(witness, db, sigma, query))
+        << "seed " << seed << "\n" << GuardedCase(sigma, db, query);
+    ++checked;
+    folded += witness.folds > 0;
+  }
+  // The fold path, not only the terminating-chase shortcut, is checked.
+  EXPECT_GE(checked, 20);
+  EXPECT_GE(folded, 10);
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 // bit-identity cross-check against the in-process chase) and a
 // recovery table (one injected fault of each kind — SIGKILL, RLIMIT_AS
 // OOM, SIGSTOP stall, corrupt reply — in each protocol phase, with
-// rebuild/respawn counts and recovery wall time).
+// reseed/respawn counts and recovery wall time).
 //
 // --json: the machine-readable quick tier, written as BENCH_shard.json
 // (ns/op, facts/sec per shard count, plus recovery latency per fault
@@ -20,14 +20,14 @@
 // (--chaos-kill/--chaos-oom/--chaos-stall/--chaos-corrupt=BOUNDARY:SHARD,
 // pinned to a protocol phase with --chaos-phase=load|discover), across
 // mid-run resharding (--reshard-at=ROUND --reshard-to=N), and across a
-// kill -9 + resume with a different shard count. Workers keep durable
-// fragments under --state-dir=PATH (default <checkpoint-dir>/storage).
-// That invariance is what scripts/storage_shard_smoke.sh diffs.
-
-#include <benchmark/benchmark.h>
+// kill -9 + resume with a different shard count. That invariance is what
+// scripts/storage_shard_smoke.sh diffs.
+//
+// An argument none of these modes takes exits 2.
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,7 +47,6 @@ CheckpointFlags g_checkpoint;
 BenchJsonFlags g_json;
 int g_durable_n = 200;
 int g_shards = 1;
-std::string g_state_dir;
 int64_t g_reshard_at = -1;
 int g_reshard_to = 0;
 std::vector<StorageFault> g_chaos;
@@ -125,7 +124,7 @@ void PrintStorageScaling() {
 }
 
 /// Storage-shard loss recovery: one injected fault of each kind in each
-/// protocol phase, with rebuild counts and recovery wall time.
+/// protocol phase, with reseed counts and recovery wall time.
 void PrintStorageRecovery() {
   Instance db = ChainDatabase(40);
   TgdSet sigma = TransitiveClosure();
@@ -136,7 +135,7 @@ void PrintStorageRecovery() {
   ChaseResult reference = Chase(db, sigma, chase_options);
 
   ReportTable table({"fault", "phase", "chase ms", "recovery ms",
-                     "rebuilds", "respawns", "identical"});
+                     "reseeds", "respawns", "identical"});
   const StorageFault::Kind kinds[] = {
       StorageFault::Kind::kKill, StorageFault::Kind::kOom,
       StorageFault::Kind::kStall, StorageFault::Kind::kCorrupt};
@@ -160,7 +159,7 @@ void PrintStorageRecovery() {
       table.AddRow({StorageFaultKindName(kind), StorageFaultPhaseName(phase),
                     ReportTable::Cell(ms),
                     ReportTable::Cell(stats.recovery_ms),
-                    ReportTable::Cell(stats.rebuilds),
+                    ReportTable::Cell(stats.reseeds),
                     ReportTable::Cell(stats.respawns),
                     ReportTable::Cell(SameInstance(result, reference))});
     }
@@ -226,8 +225,8 @@ int RunJsonBench() {
     json.Add(key, ms * 1e6,
              static_cast<double>(result.instance.size()) * 1e3 / ms);
     json.Add(key + "/recovery", stats.recovery_ms * 1e6);
-    std::printf("%-26s %10.1f ms chase  %8.1f ms recovery  %zu rebuilds\n",
-                key.c_str(), ms, stats.recovery_ms, stats.rebuilds);
+    std::printf("%-26s %10.1f ms chase  %8.1f ms recovery  %zu reseeds\n",
+                key.c_str(), ms, stats.recovery_ms, stats.reseeds);
   }
 
   Term::SetNextNullId(null_base);
@@ -238,8 +237,8 @@ int RunJsonBench() {
 
 /// Durable storage-partitioned mode for scripts/storage_shard_smoke.sh:
 /// the same deterministic chain chase, fact store hash-partitioned
-/// across long-lived workers with durable fragments under --state-dir,
-/// resumable from --checkpoint-dir, with phase-pinned injected faults
+/// across long-lived workers, resumable from --checkpoint-dir (the only
+/// durable state), with phase-pinned injected faults
 /// and optional mid-run resharding. Same "final:" line as bench_chase.
 int RunDurableStorageChase() {
   Instance db = ChainDatabase(g_durable_n);
@@ -249,8 +248,6 @@ int RunDurableStorageChase() {
   options.checkpoint_every = g_checkpoint.every;
 
   StorageShardOptions storage_options = BenchStorageOptions(g_shards);
-  storage_options.state_dir =
-      g_state_dir.empty() ? g_checkpoint.dir + "/storage" : g_state_dir;
   storage_options.reshard_at_round = g_reshard_at;
   storage_options.reshard_to = g_reshard_to;
   storage_options.faults = g_chaos;
@@ -264,10 +261,9 @@ int RunDurableStorageChase() {
   g_watchdog.Record("durable storage chase n=" + std::to_string(g_durable_n),
                     result.outcome);
 
-  std::printf("durable storage chase: dir=%s state=%s every=%d n=%d "
-              "shards=%d\n",
-              g_checkpoint.dir.c_str(), storage_options.state_dir.c_str(),
-              g_checkpoint.every, g_durable_n, g_shards);
+  std::printf("durable storage chase: dir=%s every=%d n=%d shards=%d\n",
+              g_checkpoint.dir.c_str(), g_checkpoint.every, g_durable_n,
+              g_shards);
   std::printf("resume: resumed=%s generation=%llu skipped=%d (%s)\n",
               info.resumed ? "yes" : "no",
               static_cast<unsigned long long>(info.generation),
@@ -276,12 +272,11 @@ int RunDurableStorageChase() {
                   ? "ok"
                   : SnapshotErrorName(info.load_status.error));
   std::printf("storage: spawned=%zu respawns=%zu deaths=%zu timeouts=%zu "
-              "corrupt=%zu rebuilds=%zu reseeds=%zu fallbacks=%zu "
-              "logs=%zu/%zu fragment=%zu exchanged=%zuB\n",
+              "corrupt=%zu reseeds=%zu fallbacks=%zu fragment=%zu "
+              "exchanged=%zuB\n",
               stats.workers_spawned, stats.respawns, stats.worker_deaths,
-              stats.heartbeat_timeouts, stats.corrupt_replies, stats.rebuilds,
-              stats.reseeds, stats.inline_fallbacks, stats.logs_written,
-              stats.logs_pruned, stats.max_fragment_facts,
+              stats.heartbeat_timeouts, stats.corrupt_replies, stats.reseeds,
+              stats.inline_fallbacks, stats.max_fragment_facts,
               stats.exchanged_bytes);
   for (const StorageShardEvent& event : stats.events) {
     std::printf("storage event: boundary=%llu shard=%u attempt=%d cause=%s\n",
@@ -390,7 +385,6 @@ int main(int argc, char** argv) {
   gqe::g_json = gqe::ParseBenchJsonFlags(&argc, argv);
   gqe::g_durable_n = gqe::ParseIntFlag(&argc, argv, "--durable-n", 200);
   gqe::g_shards = gqe::ParseIntFlag(&argc, argv, "--shards", 1);
-  gqe::g_state_dir = gqe::ParseStringFlag(&argc, argv, "--state-dir");
   gqe::g_reshard_at = gqe::ParseIntFlag(&argc, argv, "--reshard-at", -1);
   gqe::g_reshard_to = gqe::ParseIntFlag(&argc, argv, "--reshard-to", 0);
   const gqe::StorageFault::Phase chaos_phase =
@@ -398,6 +392,11 @@ int main(int argc, char** argv) {
           ? gqe::StorageFault::Phase::kLoad
           : gqe::StorageFault::Phase::kDiscover;
   gqe::g_chaos = gqe::ParseChaosFlags(&argc, argv, chaos_phase);
+  if (argc > 1) {
+    // Reject a flag this bench does not take rather than ignore it.
+    std::fprintf(stderr, "bench_shard: unknown argument '%s'\n", argv[1]);
+    return 2;
+  }
   // SIGINT/SIGTERM cancel cooperatively: the coordinator notices at the
   // round barrier, puts every worker down, writes a final checkpoint in
   // durable mode and still reports. (No watchdog threads here: the

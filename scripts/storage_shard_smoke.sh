@@ -12,9 +12,9 @@
 #   3. across a mid-run reshard (2 -> 8 storage shards while the chase
 #      is running);
 #   4. after kill -9 of the whole 4-shard coordinator mid-chase, resumed
-#      from the on-disk engine checkpoints under 8 shards (the 4-shard
-#      fragments are unusable under the new layout, so the fleet
-#      reseeds);
+#      from the on-disk engine checkpoints under 8 shards (the engine
+#      checkpoints are the only durable state; the restarted
+#      coordinator seeds its 8-shard fleet from the resumed instance);
 #
 # and the newest durable engine snapshot bytes must be identical across
 # all of the above (cmp, not just CRC).
@@ -128,7 +128,7 @@ fi
 # their own once their command pipe breaks, and the resumed coordinator
 # below reseeds its 8-shard fleet from the resumed instance regardless.
 echo "killed coordinator pid $KILLED_PID; state on disk:"
-ls "$KILL_DIR" "$KILL_DIR/storage" 2>/dev/null
+ls "$KILL_DIR" 2>/dev/null
 
 RESUME_OUT="$(run_storage "$KILL_DIR" 8)"
 echo "$RESUME_OUT" | grep '^resume:'

@@ -131,15 +131,12 @@ constexpr uint16_t kSnapshotKindJournalRecord = 6;
 /// are never reused.
 constexpr uint16_t kSnapshotKindRetiredStorageCommand = 7;
 constexpr uint16_t kSnapshotKindRetiredStorageReply = 8;
-/// A storage shard's per-round fragment checkpoint (its owned slice of
-/// the instance plus the round frontier), written tmp+fsync+rename at
-/// every round boundary.
-constexpr uint16_t kSnapshotKindStorageFragment = 9;
-/// The coordinator's retained per-round exchange log (one round's delta
-/// facts), fsynced before any shard's round barrier is acked so a
-/// respawned shard can always rebuild checkpoint + log back to the
-/// current boundary.
-constexpr uint16_t kSnapshotKindStorageLog = 10;
+/// Retired: storage shards once wrote per-round fragment checkpoints
+/// (kind 9) and the coordinator per-round exchange logs (kind 10); a
+/// respawned worker is now reseeded from the coordinator's instance.
+/// Kinds 9 and 10 are never reused.
+constexpr uint16_t kSnapshotKindRetiredStorageFragment = 9;
+constexpr uint16_t kSnapshotKindRetiredStorageLog = 10;
 
 /// Current snapshot format version (bumped on incompatible changes).
 /// v2: chase snapshots carry the per-trigger null-draw log backing

@@ -1,20 +1,14 @@
 #include "shard/storage_shard.h"
 
-#include <dirent.h>
 #include <signal.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <map>
 #include <new>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "base/serialize.h"
 #include "net/frame.h"
 #include "shard/storage_wire.h"
 
@@ -32,10 +26,6 @@ constexpr int kStorageExitPeerGone = 4;
 /// coordinator's death classification take over".
 constexpr int kStorageExitProtocol = 5;
 constexpr int kStorageExitOom = 12;
-
-/// A fragment rebuilt with no disk checkpoint at all — pure exchange-log
-/// replay from round zero.
-constexpr uint64_t kScratchGen = kNoGen - 1;
 
 /// Payload cap of one pipe frame. Far above any real exchange; its only
 /// job is making a garbage length prefix a detected protocol failure
@@ -72,203 +62,6 @@ uint32_t OwnerOfAtom(const Atom& atom, uint32_t num_shards) {
 uint64_t FoldManifest(uint64_t h, uint64_t content_hash,
                       uint64_t global_index) {
   return Mix64(h ^ Mix64(content_hash ^ global_index));
-}
-
-// ---------------------------------------------------------------------------
-// File formats.
-//
-// Fragment checkpoints and retained exchange logs (snapshot kinds 9/10)
-// are cross-restart files and embed the interner. The pipe messages are
-// in shard/storage_wire.h.
-// ---------------------------------------------------------------------------
-
-/// A shard's fragment checkpoint: its owned slice of the instance (global
-/// indexes + atoms, ascending) and the frontier of the boundary round,
-/// which is exactly the state a respawned worker needs to serve discovery
-/// at that boundary with no log replay.
-struct StorageFragmentFile {
-  uint32_t shard = 0;
-  uint32_t num_shards = 1;
-  uint64_t boundary = 0;
-  uint64_t delta_start = 0;
-  uint64_t delta_end = 0;
-  std::vector<uint64_t> indexes;
-  std::vector<Atom> atoms;
-  std::vector<Atom> frontier;
-};
-
-/// One retained per-round exchange log: the round's delta facts. Written
-/// (tmp+fsync+rename) before any load command for the boundary goes out,
-/// so by the time a shard acks the boundary, the bytes needed to replay
-/// it into a respawned shard are already durable.
-struct StorageLogFile {
-  uint32_t num_shards = 1;
-  uint64_t boundary = 0;
-  uint64_t delta_start = 0;
-  uint64_t delta_end = 0;
-  std::vector<Atom> delta;
-};
-
-std::string EncodeStorageFragmentFile(const StorageFragmentFile& file) {
-  BinaryWriter writer;
-  EncodeInterner(&writer);
-  writer.WriteU32(file.shard);
-  writer.WriteU32(file.num_shards);
-  writer.WriteU64(file.boundary);
-  writer.WriteU64(file.delta_start);
-  writer.WriteU64(file.delta_end);
-  writer.WriteU64(file.indexes.size());
-  for (uint64_t index : file.indexes) writer.WriteU64(index);
-  EncodeAtomVector(file.atoms, &writer);
-  EncodeAtomVector(file.frontier, &writer);
-  return WrapSnapshot(kSnapshotKindStorageFragment, writer.buffer());
-}
-
-SnapshotStatus DecodeStorageFragmentFile(std::string_view bytes,
-                                         StorageFragmentFile* out) {
-  std::string_view payload;
-  SnapshotStatus status =
-      UnwrapSnapshot(bytes, kSnapshotKindStorageFragment, &payload);
-  if (!status.ok()) return status;
-  BinaryReader reader(payload);
-  status = DecodeInterner(&reader);
-  if (!status.ok()) return status;
-  StorageFragmentFile file;
-  reader.ReadU32(&file.shard);
-  reader.ReadU32(&file.num_shards);
-  reader.ReadU64(&file.boundary);
-  reader.ReadU64(&file.delta_start);
-  uint64_t index_count = 0;
-  reader.ReadU64(&file.delta_end);
-  if (!reader.ReadU64(&index_count)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage fragment: truncated header");
-  }
-  if (index_count > reader.remaining() / kMinIndexBytes + 1) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage fragment: absurd index count");
-  }
-  file.indexes.reserve(index_count);
-  for (uint64_t i = 0; i < index_count; ++i) {
-    uint64_t index = 0;
-    if (!reader.ReadU64(&index)) {
-      return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                  "storage fragment: truncated indexes");
-    }
-    file.indexes.push_back(index);
-  }
-  status = DecodeAtomVector(&reader, &file.atoms);
-  if (!status.ok()) return status;
-  status = DecodeAtomVector(&reader, &file.frontier);
-  if (!status.ok()) return status;
-  if (!reader.ok() || !reader.AtEnd()) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage fragment: trailing or missing bytes");
-  }
-  if (file.indexes.size() != file.atoms.size()) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage fragment: index/atom mismatch");
-  }
-  *out = std::move(file);
-  return SnapshotStatus::Ok();
-}
-
-std::string EncodeStorageLogFile(const StorageLogFile& file) {
-  BinaryWriter writer;
-  EncodeInterner(&writer);
-  writer.WriteU32(file.num_shards);
-  writer.WriteU64(file.boundary);
-  writer.WriteU64(file.delta_start);
-  writer.WriteU64(file.delta_end);
-  EncodeAtomVector(file.delta, &writer);
-  return WrapSnapshot(kSnapshotKindStorageLog, writer.buffer());
-}
-
-SnapshotStatus DecodeStorageLogFile(std::string_view bytes,
-                                    StorageLogFile* out) {
-  std::string_view payload;
-  SnapshotStatus status =
-      UnwrapSnapshot(bytes, kSnapshotKindStorageLog, &payload);
-  if (!status.ok()) return status;
-  BinaryReader reader(payload);
-  status = DecodeInterner(&reader);
-  if (!status.ok()) return status;
-  StorageLogFile file;
-  reader.ReadU32(&file.num_shards);
-  reader.ReadU64(&file.boundary);
-  reader.ReadU64(&file.delta_start);
-  if (!reader.ReadU64(&file.delta_end)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage log: truncated header");
-  }
-  status = DecodeAtomVector(&reader, &file.delta);
-  if (!status.ok()) return status;
-  if (!reader.ok() || !reader.AtEnd()) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage log: trailing or missing bytes");
-  }
-  if (file.delta.size() != file.delta_end - file.delta_start) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage log: delta size mismatch");
-  }
-  *out = std::move(file);
-  return SnapshotStatus::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// State-dir layout helpers.
-// ---------------------------------------------------------------------------
-
-std::string ShardDirPath(const std::string& state_dir, uint32_t shard) {
-  return state_dir + "/shard-" + std::to_string(shard);
-}
-
-std::string LogDirPath(const std::string& state_dir) {
-  return state_dir + "/logs";
-}
-
-std::string FragmentPath(const std::string& shard_dir, uint64_t generation) {
-  return shard_dir + "/fragment-" + std::to_string(generation) + ".frag";
-}
-
-std::string LogPath(const std::string& state_dir, uint64_t boundary) {
-  return LogDirPath(state_dir) + "/log-" + std::to_string(boundary) + ".log";
-}
-
-/// Numeric suffixes of `<prefix><n><suffix>` entries in `dir`, ascending.
-std::vector<uint64_t> ListNumbered(const std::string& dir,
-                                   const std::string& prefix,
-                                   const std::string& suffix) {
-  std::vector<uint64_t> out;
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) return out;
-  while (struct dirent* entry = ::readdir(handle)) {
-    const std::string name = entry->d_name;
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    out.push_back(std::strtoull(digits.c_str(), nullptr, 10));
-  }
-  ::closedir(handle);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<uint64_t> ListFragmentGens(const std::string& shard_dir) {
-  return ListNumbered(shard_dir, "fragment-", ".frag");
-}
-
-std::vector<uint64_t> ListLogBoundaries(const std::string& state_dir) {
-  return ListNumbered(LogDirPath(state_dir), "log-", ".log");
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +204,6 @@ struct WorkerState {
   uint64_t boundary = 0;
   uint64_t delta_start = 0;
   uint64_t delta_end = 0;
-  uint64_t rebuilt_from = kNoGen;
   bool loaded = false;
 
   bool Append(const Atom& atom, uint64_t global_index) {
@@ -428,91 +220,6 @@ struct WorkerState {
     return h;
   }
 };
-
-/// Writes the fragment checkpoint for the state's boundary and prunes old
-/// generations down to `keep_generations`. Returns the written generation
-/// or kNoGen on failure — a failed checkpoint write degrades *future*
-/// recovery but never the current round, so the ack simply reports what
-/// is actually durable and the coordinator's log retention adapts.
-uint64_t WriteFragmentCheckpoint(const WorkerState& state, uint32_t shard,
-                                 uint32_t num_shards,
-                                 const std::string& shard_dir,
-                                 int keep_generations) {
-  StorageFragmentFile file;
-  file.shard = shard;
-  file.num_shards = num_shards;
-  file.boundary = state.boundary;
-  file.delta_start = state.delta_start;
-  file.delta_end = state.delta_end;
-  file.indexes = state.to_global;
-  for (size_t i = 0; i < state.fragment.size(); ++i) {
-    file.atoms.push_back(state.fragment.atom(i));
-  }
-  file.frontier = state.frontier;
-  const SnapshotStatus status = WriteFileAtomic(
-      FragmentPath(shard_dir, state.boundary), EncodeStorageFragmentFile(file));
-  if (!status.ok()) return kNoGen;
-  std::vector<uint64_t> gens = ListFragmentGens(shard_dir);
-  if (gens.size() > static_cast<size_t>(keep_generations)) {
-    for (size_t i = 0; i + keep_generations < gens.size(); ++i) {
-      ::remove(FragmentPath(shard_dir, gens[i]).c_str());
-    }
-  }
-  return state.boundary;
-}
-
-/// Attempts to reconstruct the fragment at `command`'s boundary from one
-/// disk checkpoint (`base`, or scratch when null) plus forward replay of
-/// the shipped exchange logs. Returns false on any gap or mismatch; the
-/// caller walks the recovery ladder newest-checkpoint-first.
-bool TryReplay(const StorageCommand& command, uint32_t shard,
-               const StorageFragmentFile* base,
-               const std::map<uint64_t, const StorageLogFile*>& logs,
-               WorkerState* out) {
-  WorkerState state;
-  uint64_t next_boundary = 0;
-  if (base != nullptr) {
-    for (size_t i = 0; i < base->atoms.size(); ++i) {
-      if (!state.Append(base->atoms[i], base->indexes[i])) return false;
-    }
-    state.frontier = base->frontier;
-    state.delta_start = base->delta_start;
-    state.delta_end = base->delta_end;
-    next_boundary = base->boundary + 1;
-    state.rebuilt_from = base->boundary;
-  } else {
-    state.rebuilt_from = kScratchGen;
-  }
-  for (uint64_t b = next_boundary; b <= command.boundary; ++b) {
-    auto it = logs.find(b);
-    if (it == logs.end()) return false;
-    const StorageLogFile& log = *it->second;
-    // Coverage must be gapless: each log's delta starts exactly where the
-    // fragment's coverage ends.
-    if (log.delta_start != state.delta_end && !(b == 0 && state.fragment.empty()
-                                                && log.delta_start == 0)) {
-      return false;
-    }
-    for (size_t i = 0; i < log.delta.size(); ++i) {
-      const uint64_t global = log.delta_start + i;
-      if (OwnerOfAtom(log.delta[i], command.num_shards) != shard) continue;
-      if (!state.Append(log.delta[i], global)) return false;
-    }
-    state.frontier = log.delta;
-    state.delta_start = log.delta_start;
-    state.delta_end = log.delta_end;
-  }
-  if (state.delta_start != command.delta_start ||
-      state.delta_end != command.delta_end) {
-    return false;
-  }
-  state.boundary = command.boundary;
-  state.loaded = true;
-  state.rebuilt_from =
-      base != nullptr ? state.rebuilt_from : kScratchGen;
-  *out = std::move(state);
-  return true;
-}
 
 /// Computes this shard's candidate groups for a discovery command:
 /// anchored units only, cases A and B only (the coordinator owns full
@@ -538,25 +245,20 @@ void ComputeWorkerGroups(const StorageCommand& command, const TgdSet& tgds,
       if (shape.free_sides >= 2) continue;  // case C: coordinator-side
       // Check the ground sides this shard owns against its fragment — an
       // owned ground side that is absent from the fragment is absent from
-      // the instance, so the whole group is vetoed here. Non-owned sides
-      // go up as cond atoms for the coordinator's definitive check.
+      // the instance, so the whole group is vetoed here. The coordinator
+      // re-checks every ground side against its instance before merging.
       bool owned_side_missing = false;
-      std::vector<Atom> cond;
       for (const Atom& side : shape.ground_sides) {
-        if (OwnerOfAtom(side, command.num_shards) == shard) {
-          if (state.fragment.Find(side) < 0) {
-            owned_side_missing = true;
-            break;
-          }
-        } else {
-          cond.push_back(side);
+        if (OwnerOfAtom(side, command.num_shards) == shard &&
+            state.fragment.Find(side) < 0) {
+          owned_side_missing = true;
+          break;
         }
       }
       if (owned_side_missing) continue;
       StorageReplyGroup group;
       group.unit_index = static_cast<uint32_t>(u);
       group.fact_index = f;
-      group.cond = std::move(cond);
       if (shape.free_sides == 0) {
         // Case A: the anchor fact's owner speaks for the trigger.
         if (OwnerOfAtom(anchor_fact, command.num_shards) != shard) continue;
@@ -578,8 +280,7 @@ void ComputeWorkerGroups(const StorageCommand& command, const TgdSet& tgds,
 /// kStorageReply frame, exits 0 on command-pipe EOF (graceful teardown).
 /// Runs in a forked child; the return value becomes the exit code.
 int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
-                      double heartbeat_interval_ms, int keep_generations,
-                      const std::string& shard_dir, int command_fd,
+                      double heartbeat_interval_ms, int command_fd,
                       int result_fd, int heartbeat_fd) {
   HeartbeatWriter heartbeat(heartbeat_fd, heartbeat_interval_ms);
   WorkerState state;
@@ -654,50 +355,6 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
         state.boundary = command.boundary;
         state.delta_start = command.delta_start;
         state.delta_end = command.delta_end;
-        state.rebuilt_from = kNoGen;
-        break;
-      }
-      case StorageCommand::Type::kRebuild: {
-        // Decode whichever shipped logs are usable; a log that fails its
-        // envelope or interner check is simply absent from the replay
-        // map, and the ladder decides whether recovery is still possible.
-        std::vector<StorageLogFile> decoded;
-        decoded.reserve(command.logs.size());
-        std::map<uint64_t, const StorageLogFile*> logs;
-        for (const std::string& bytes : command.logs) {
-          StorageLogFile log;
-          if (!DecodeStorageLogFile(bytes, &log).ok()) continue;
-          if (log.num_shards != num_shards) continue;
-          decoded.push_back(std::move(log));
-        }
-        for (const StorageLogFile& log : decoded) {
-          logs[log.boundary] = &log;
-        }
-        // The recovery ladder: newest usable checkpoint first, older
-        // generations next (longer replay), scratch replay from log 0
-        // last. Every rung re-derives the same fragment bytes — the
-        // ladder trades replay length for damage tolerance, not content.
-        bool rebuilt = false;
-        std::vector<uint64_t> gens = ListFragmentGens(shard_dir);
-        for (size_t i = gens.size(); i-- > 0 && !rebuilt;) {
-          if (gens[i] > command.boundary) continue;
-          std::string bytes;
-          if (!ReadFileBytes(FragmentPath(shard_dir, gens[i]), &bytes).ok()) {
-            continue;
-          }
-          StorageFragmentFile base;
-          if (!DecodeStorageFragmentFile(bytes, &base).ok()) continue;
-          if (base.shard != shard || base.num_shards != num_shards) continue;
-          if (base.boundary != gens[i]) continue;
-          rebuilt = TryReplay(command, shard, &base, logs, &state);
-        }
-        if (!rebuilt) {
-          rebuilt = TryReplay(command, shard, nullptr, logs, &state);
-        }
-        if (!rebuilt) {
-          reply.ok = false;
-          reply.error = "rebuild-exhausted";
-        }
         break;
       }
       case StorageCommand::Type::kDiscover: {
@@ -715,17 +372,10 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
     }
 
     if (command.type != StorageCommand::Type::kDiscover && reply.ok) {
-      // Every successful load ends with a fresh fragment checkpoint at
-      // the boundary, then an ack describing what is actually durable
-      // (the write may have failed; the ack never lies about it).
-      WriteFragmentCheckpoint(state, shard, num_shards, shard_dir,
-                              keep_generations);
-      std::vector<uint64_t> gens = ListFragmentGens(shard_dir);
-      reply.checkpoint_gen = gens.empty() ? kNoGen : gens.back();
-      reply.oldest_checkpoint_gen = gens.empty() ? kNoGen : gens.front();
+      // Every successful load is acked with the fragment's ownership
+      // manifest, which the coordinator checks before trusting it.
       reply.fragment_count = state.fragment.size();
       reply.fragment_hash = state.ManifestHash();
-      reply.rebuilt_from = state.rebuilt_from;
     }
 
     std::string out =
@@ -774,11 +424,18 @@ std::string StorageDeathCause(const WorkerExit& exit) {
 // Coordinator.
 // ---------------------------------------------------------------------------
 
+/// Slot::synced_boundary of a slot whose live worker holds no fragment.
+constexpr uint64_t kNotSynced = ~0ull;
+
 /// The storage-shard coordinator: owns the long-lived worker fleet, the
-/// acknowledged ownership manifests, the retained exchange log, and the
-/// respawn/rebuild/reseed recovery ladder. One instance lives for the
-/// whole run (it is the ChaseOptions::discovery_hook), so workers and
-/// recovery bookkeeping span rounds.
+/// acknowledged ownership manifests and the one recovery path — a failed
+/// worker is killed, respawned after a backoff and reseeded from the
+/// coordinator's instance, up to the retry budget; past it the shard's
+/// slice is computed inline or the run stops with kShardLost. The
+/// fragments are derived state (every candidate is re-bound against the
+/// coordinator's instance), so nothing is written to disk. One instance
+/// lives for the whole run (it is the ChaseOptions::discovery_hook), so
+/// workers and recovery bookkeeping span rounds.
 class StorageCoordinator : public ChaseDiscoveryHook {
  public:
   StorageCoordinator(const StorageShardOptions& options,
@@ -787,25 +444,15 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         stats_(stats),
         fault_used_(options.faults.size(), false) {
     if (options_.shards < 1) options_.shards = 1;
-    // Recovery needs a fallback generation when the newest checkpoint is
-    // the casualty; a single retained generation would make every
-    // checkpoint corruption unrecoverable.
-    if (options_.keep_generations < 2) options_.keep_generations = 2;
   }
 
-  ~StorageCoordinator() override {
-    TeardownWorkers();
-    if (ephemeral_ && !state_dir_.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(state_dir_, ec);
-    }
-  }
+  ~StorageCoordinator() override { TeardownWorkers(); }
 
   bool DiscoverRound(const ChaseDiscoveryRound& round,
                      std::vector<std::vector<Substitution>>* found) override;
 
  private:
-  /// Per-round slot protocol: load (seed/delta/rebuild) then discover,
+  /// Per-round slot protocol: load (seed/delta) then discover,
   /// each a strict request-reply exchange.
   enum class Phase : int {
     kNeedLoad,
@@ -821,17 +468,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     bool running = false;
     /// Permanently absorbed into the coordinator for this layout epoch.
     bool inlined = false;
-    /// True once any ack was accepted from this slot under the current
-    /// layout. Past that point a full reseed is forbidden: state must be
-    /// recoverable from disk, or the shard is honestly lost.
-    bool ever_acked = false;
-    bool force_seed = false;
-    bool reseeded = false;
-    /// Boundary the live worker's fragment is synced to (kNoGen: none).
-    uint64_t synced_boundary = kNoGen;
-    /// Oldest fragment generation the last ack reported durable — the
-    /// shard's contribution to the exchange-log retention floor.
-    uint64_t oldest_gen = kNoGen;
+    /// Boundary the live worker's fragment is synced to.
+    uint64_t synced_boundary = kNotSynced;
     int attempts = 0;  // workers spawned for this slot this round
     double ready_at = 0.0;
     double last_beat = 0.0;
@@ -902,32 +540,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
       if (stats_ != nullptr) ++stats_->worker_deaths;
     }
     slot->decoder = FrameDecoder(kMaxFrameBytes);
-    slot->synced_boundary = kNoGen;
+    slot->synced_boundary = kNotSynced;
     ScheduleRetry(round, slot, now, cause);
-  }
-
-  bool EnsureStateDir() {
-    if (state_dir_.empty()) {
-      if (!options_.state_dir.empty()) {
-        state_dir_ = options_.state_dir;
-      } else {
-        char tmpl[] = "/tmp/gqe-storage-XXXXXX";
-        char* made = ::mkdtemp(tmpl);
-        if (made == nullptr) return false;
-        state_dir_ = made;
-        ephemeral_ = true;
-      }
-    }
-    std::error_code ec;
-    std::filesystem::create_directories(LogDirPath(state_dir_), ec);
-    for (uint32_t s = 0; s < layout_; ++s) {
-      std::filesystem::create_directories(ShardDirPath(state_dir_, s), ec);
-    }
-    return true;
-  }
-
-  bool DiskHasFragments(uint32_t shard) const {
-    return !ListFragmentGens(ShardDirPath(state_dir_, shard)).empty();
   }
 
   bool SpawnSlot(const ChaseDiscoveryRound& round, Slot* slot) {
@@ -935,15 +549,13 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     const uint32_t shard = slot->shard;
     const uint32_t num_shards = layout_;
     const double heartbeat = options_.heartbeat_interval_ms;
-    const int keep = options_.keep_generations;
-    const std::string shard_dir = ShardDirPath(state_dir_, shard);
     // The closure runs synchronously inside Spawn, in the child branch of
-    // the fork, so capturing parent state by reference/pointer is safe:
-    // the child computes against its copy-on-write snapshot.
-    auto body = [tgds, shard, num_shards, heartbeat, keep, &shard_dir](
+    // the fork, so capturing parent state by pointer is safe: the child
+    // computes against its copy-on-write snapshot.
+    auto body = [tgds, shard, num_shards, heartbeat](
                     int command_fd, int result_fd, int heartbeat_fd) -> int {
-      return StorageWorkerBody(tgds, shard, num_shards, heartbeat, keep,
-                               shard_dir, command_fd, result_fd, heartbeat_fd);
+      return StorageWorkerBody(tgds, shard, num_shards, heartbeat, command_fd,
+                               result_fd, heartbeat_fd);
     };
     std::string error;
     WorkerProcess worker;
@@ -953,92 +565,37 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     slot->worker = std::move(worker);
     slot->running = true;
     slot->decoder = FrameDecoder(kMaxFrameBytes);
-    slot->synced_boundary = kNoGen;
-    slot->reseeded = false;
-    slot->force_seed = false;
+    slot->synced_boundary = kNotSynced;
     if (stats_ != nullptr) {
       ++stats_->workers_spawned;
-      if (slot->attempts > 1 || slot->ever_acked) ++stats_->respawns;
+      if (slot->attempts > 1) ++stats_->respawns;
     }
     return true;
   }
 
-  /// Writes this round's delta as a retained exchange log — durably
-  /// (tmp+fsync+rename), and strictly BEFORE any load command for the
-  /// boundary goes out. By the time any shard acks the boundary, the
-  /// bytes needed to replay it into a respawned shard are on disk, so a
-  /// kill between a shard's ack and the round commit can always be
-  /// recovered from checkpoint + log.
-  void WriteRoundLog(const ChaseDiscoveryRound& round) {
-    StorageLogFile file;
-    file.num_shards = layout_;
-    file.boundary = round.round;
-    file.delta_start = round.delta_start;
-    file.delta_end = round.delta_end;
-    file.delta = round_delta_;
-    const SnapshotStatus status = WriteFileAtomic(
-        LogPath(state_dir_, round.round), EncodeStorageLogFile(file));
-    if (!status.ok()) {
-      RecordEvent(round.round, 0, 0, "write-failed");
-      return;
-    }
-    if (stats_ != nullptr) ++stats_->logs_written;
-  }
-
-  /// Deletes retained logs no surviving checkpoint generation could need
-  /// for forward replay: log b is prunable once every active shard's
-  /// oldest durable fragment generation is >= b. A shard with no known
-  /// durable generation blocks pruning entirely.
-  void PruneLogs() {
-    uint64_t min_oldest = kNoGen;
-    bool any_active = false;
-    for (const Slot& slot : slots_) {
-      if (slot.inlined) continue;
-      any_active = true;
-      if (slot.oldest_gen == kNoGen) return;
-      min_oldest = std::min(min_oldest, slot.oldest_gen);
-    }
-    if (!any_active || min_oldest == kNoGen) return;
-    for (uint64_t b : ListLogBoundaries(state_dir_)) {
-      if (b > min_oldest) continue;
-      if (::remove(LogPath(state_dir_, b).c_str()) == 0 &&
-          stats_ != nullptr) {
-        ++stats_->logs_pruned;
-      }
-    }
-  }
-
+  /// The slot's load for this boundary: a delta when the live worker is
+  /// exactly one boundary behind, a full seed from the instance otherwise
+  /// (first contact under this layout, or a worker respawned after a
+  /// fault — a reseed).
   StorageCommand BuildLoadCommand(const ChaseDiscoveryRound& round,
-                                  Slot* slot) const {
+                                  Slot* slot) {
     StorageCommand command;
-    const Instance& instance = *round.instance;
-    if (!slot->force_seed && slot->synced_boundary != kNoGen &&
+    command.frontier = round_delta_;
+    if (slot->synced_boundary != kNotSynced &&
         slot->synced_boundary + 1 == round.round) {
-      // The steady state: the live worker is exactly one boundary behind,
-      // so one delta brings it current.
       command.type = StorageCommand::Type::kDelta;
-      command.frontier = round_delta_;
-    } else if (!slot->force_seed &&
-               (slot->ever_acked || DiskHasFragments(slot->shard))) {
-      // A respawned worker (or a restarted coordinator's fresh worker
-      // over surviving state): rebuild from disk checkpoint + logs.
-      command.type = StorageCommand::Type::kRebuild;
-      for (uint64_t b : ListLogBoundaries(state_dir_)) {
-        if (b > round.round) continue;
-        std::string bytes;
-        if (ReadFileBytes(LogPath(state_dir_, b), &bytes).ok()) {
-          command.logs.push_back(std::move(bytes));
-        }
-      }
-    } else {
-      // First contact under this layout: full owned-fragment seed.
-      command.type = StorageCommand::Type::kSeed;
-      for (uint64_t g = 0; g < round.delta_end; ++g) {
-        if (ShardOfFact(instance, g, layout_) != slot->shard) continue;
-        command.seed_indexes.push_back(g);
-        command.seed_atoms.push_back(instance.atom(g));
-      }
-      command.frontier = round_delta_;
+      return command;
+    }
+    command.type = StorageCommand::Type::kSeed;
+    const Instance& instance = *round.instance;
+    for (uint64_t g = 0; g < round.delta_end; ++g) {
+      if (ShardOfFact(instance, g, layout_) != slot->shard) continue;
+      command.seed_indexes.push_back(g);
+      command.seed_atoms.push_back(instance.atom(g));
+    }
+    if (slot->attempts > 1) {
+      RecordEvent(round.round, slot->shard, slot->attempts, "reseed");
+      if (stats_ != nullptr) ++stats_->reseeds;
     }
     return command;
   }
@@ -1076,7 +633,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         slot->running = false;
         if (stats_ != nullptr) ++stats_->worker_deaths;
         slot->decoder = FrameDecoder(kMaxFrameBytes);
-        slot->synced_boundary = kNoGen;
+        slot->synced_boundary = kNotSynced;
         ScheduleRetry(round, slot, now, cause);
       } else {
         FailSlot(round, slot, now, cause);
@@ -1174,18 +731,9 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         return false;
       }
       if (!reply.ok) {
-        if (!slot->ever_acked && !slot->reseeded) {
-          // A fresh slot whose rebuild found nothing usable may be seeded
-          // in full — it never held acknowledged state, so the seed
-          // cannot paper over lost durability.
-          slot->reseeded = true;
-          slot->force_seed = true;
-          slot->phase = Phase::kNeedLoad;
-          RecordEvent(round.round, slot->shard, slot->attempts, "reseed");
-          if (stats_ != nullptr) ++stats_->reseeds;
-          return true;
-        }
-        FailSlot(round, slot, now, "rebuild-failed");
+        // The worker judged its fragment unusable (a delta that does not
+        // continue it): replace the worker, and the respawn is reseeded.
+        FailSlot(round, slot, now, "load-failed");
         return false;
       }
       if (reply.fragment_count != expected_count_[slot->shard] ||
@@ -1194,12 +742,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         FailSlot(round, slot, now, "bad-ack");
         return false;
       }
-      slot->ever_acked = true;
       slot->synced_boundary = round.round;
-      slot->oldest_gen = reply.oldest_checkpoint_gen;
-      slot->force_seed = false;
       if (stats_ != nullptr) {
-        if (reply.rebuilt_from != kNoGen) ++stats_->rebuilds;
         stats_->max_fragment_facts =
             std::max(stats_->max_fragment_facts,
                      static_cast<size_t>(reply.fragment_count));
@@ -1242,8 +786,6 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     unlimited.max_facts = 0;
     Governor governor(unlimited);
     std::vector<size_t> cursor(slots_.size(), 0);
-    bool any_inlined = false;
-    for (const Slot& slot : slots_) any_inlined |= slot.inlined;
     for (size_t u = 0; u < units.size(); ++u) {
       const ChaseDiscoveryUnit& unit = units[u];
       std::vector<Substitution>& out = (*found)[u];
@@ -1276,10 +818,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
             ++c;
           }
         }
-        const bool need_shape = here_count > 0 || any_inlined || true;
         UnitFactShape shape;
         const bool matches =
-            need_shape &&
             ClassifyUnitFact(tgd, unit.anchor,
                              instance.predicate_of(f), instance.args_of(f),
                              &shape);
@@ -1355,15 +895,13 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         slot.worker.WaitReaped(2000.0);
         slot.running = false;
       }
-      slot.synced_boundary = kNoGen;
+      slot.synced_boundary = kNotSynced;
     }
   }
 
   StorageShardOptions options_;
   StorageShardStats* stats_;
   std::vector<bool> fault_used_;
-  std::string state_dir_;
-  bool ephemeral_ = false;
   /// Current shard layout (0: none yet). Changing it retires the fleet.
   uint32_t layout_ = 0;
   std::vector<Slot> slots_;
@@ -1408,19 +946,12 @@ bool StorageCoordinator::DiscoverRound(
     layout_ = num_shards;
     if (reshard) RecordEvent(round.round, 0, 0, "reshard");
   }
-  if (!EnsureStateDir()) {
-    RecordEvent(round.round, 0, 0, "write-failed");
-    return false;
-  }
   const Instance& instance = *round.instance;
   round_delta_.clear();
   for (uint64_t g = round.delta_start; g < round.delta_end; ++g) {
     round_delta_.push_back(instance.atom(g));
   }
   if (stats_ != nullptr) stats_->shipped_facts += round_delta_.size();
-  // Durable exchange log first — before any load command, hence before
-  // any ack this boundary (satellite: retention-before-ack).
-  WriteRoundLog(round);
   for (uint64_t g = covered_; g < round.delta_end; ++g) {
     const uint32_t owner =
         ShardOfFact(instance, g, layout_);
@@ -1440,8 +971,6 @@ bool StorageCoordinator::DiscoverRound(
     slot.last_beat = 0.0;
     slot.started_at = 0.0;
     slot.first_fault_at = -1.0;
-    slot.force_seed = false;
-    slot.reseeded = false;
     slot.reply = StorageReply{};
     slot.phase = slot.inlined ? Phase::kDone : Phase::kNeedLoad;
     if (!slot.inlined) ++remaining;
@@ -1536,7 +1065,7 @@ bool StorageCoordinator::DiscoverRound(
         // Died mid-request with no (valid) reply: classify and retry.
         slot.running = false;
         slot.decoder = FrameDecoder(kMaxFrameBytes);
-        slot.synced_boundary = kNoGen;
+        slot.synced_boundary = kNotSynced;
         if (stats_ != nullptr) ++stats_->worker_deaths;
         ScheduleRetry(round, &slot, now,
                       StorageDeathCause(slot.worker.exit_status()));
@@ -1559,7 +1088,6 @@ bool StorageCoordinator::DiscoverRound(
     }
   }
 
-  PruneLogs();
   Reassemble(round, found);
   return true;
 }

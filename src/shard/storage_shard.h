@@ -13,7 +13,7 @@ namespace gqe {
 
 /// Deterministic storage-shard fault injection. A storage worker is
 /// long-lived and serves two kinds of command per round boundary — a
-/// state load (seed / delta / rebuild) and a discovery request — so a
+/// state load (seed / delta) and a discovery request — so a
 /// fault is pinned to the phase it hits as well as to its (boundary,
 /// shard, attempt). Kill/OOM/stall ride down to the worker inside the
 /// matched command frame (child-side delivery keeps them deterministic);
@@ -27,8 +27,8 @@ struct StorageFault {
     kCorrupt = 3,
   };
   enum class Phase : int {
-    /// The seed / delta / rebuild command that brings the fragment to the
-    /// round boundary (and writes its checkpoint).
+    /// The seed / delta command that brings the fragment to the round
+    /// boundary.
     kLoad = 0,
     /// The per-round trigger-discovery command.
     kDiscover = 1,
@@ -58,19 +58,11 @@ struct StorageShardOptions {
   int64_t reshard_at_round = -1;
   int reshard_to = 0;
 
-  /// Durable state root: `<state_dir>/shard-<s>/fragment-<gen>.frag`
-  /// fragment checkpoints plus `<state_dir>/logs/log-<boundary>.log`
-  /// retained exchange logs. Empty: a private temp dir, removed on
-  /// teardown (recovery within the run still works; recovery across a
-  /// coordinator restart needs a real directory).
+  /// Ignored: read nowhere, and nothing is written there. Storage shards
+  /// keep no state on disk (a respawned worker is reseeded from the
+  /// coordinator's instance); the field stays only until the benchmark
+  /// driver that still sets it drops it.
   std::string state_dir;
-
-  /// Fragment checkpoint generations retained per shard (minimum 2 —
-  /// recovery needs a fallback when the newest generation is the
-  /// casualty). Retained exchange logs are pruned in lockstep: a log is
-  /// deleted only once no retained fragment generation could need it to
-  /// replay forward.
-  int keep_generations = 2;
 
   /// Retry budget per (boundary, shard), with exponential backoff and
   /// deterministic jitter between attempts (base/subprocess.h
@@ -81,7 +73,7 @@ struct StorageShardOptions {
   uint64_t jitter_seed = 1;
 
   /// Liveness: workers beat every `heartbeat_interval_ms`; silent for
-  /// `heartbeat_timeout_ms` means stalled → SIGKILL → respawn + rebuild.
+  /// `heartbeat_timeout_ms` means stalled → SIGKILL → respawn + reseed.
   double heartbeat_interval_ms = 5.0;
   double heartbeat_timeout_ms = 1000.0;
 
@@ -94,10 +86,10 @@ struct StorageShardOptions {
   /// Hard kernel caps installed in every storage worker (0 = uncapped).
   WorkerLimits limits;
 
-  /// When a shard exhausts its retry budget (including rebuild
-  /// failures), compute its slice inline in the coordinator for the rest
-  /// of the layout epoch — still bit-identical. Disabled, the run aborts
-  /// with Status::kShardLost at the last committed round boundary.
+  /// When a shard exhausts its retry budget, compute its slice inline in
+  /// the coordinator for the rest of the layout epoch — still
+  /// bit-identical. Disabled, the run aborts with Status::kShardLost at
+  /// the last committed round boundary.
   bool inline_fallback = true;
 
   /// Injected faults, matched by (boundary, shard, attempt, phase); each
@@ -111,8 +103,9 @@ struct StorageShardEvent {
   uint32_t shard = 0;
   int attempt = 0;
   /// "sigkill", "oom", "heartbeat-timeout", "corrupt-reply", "bad-reply",
-  /// "bad-ack", "rebuild-failed", "spawn-failed", "write-failed",
-  /// "command-timeout", "inline-fallback", "reseed", "reshard".
+  /// "bad-ack", "load-failed", "spawn-failed", "write-failed",
+  /// "command-timeout", "inline-fallback", "shard-lost", "reseed",
+  /// "reshard".
   std::string cause;
 };
 
@@ -125,7 +118,7 @@ struct StorageShardStats {
   size_t heartbeat_timeouts = 0;
   size_t corrupt_replies = 0;
   size_t bad_acks = 0;
-  size_t rebuilds = 0;
+  /// Seeds sent to workers respawned after a fault.
   size_t reseeds = 0;
   size_t inline_fallbacks = 0;
   /// Pipe bytes, counted as whole frames (12-byte header + payload) in
@@ -137,8 +130,6 @@ struct StorageShardStats {
   /// delta size — each fact goes to exactly one owner plus the
   /// replicated frontier).
   size_t shipped_facts = 0;
-  size_t logs_written = 0;
-  size_t logs_pruned = 0;
   /// Largest fragment (owned facts) any shard reported: the memory
   /// figure. Worker RSS would not be one — fork inherits the parent's
   /// resident image copy-on-write, so it floors at the coordinator's
@@ -163,16 +154,15 @@ uint32_t ShardOfFact(const Instance& instance, size_t fact_index,
 /// storage-shard workers. Each worker owns a fragment of the instance
 /// (its facts by content-hash ownership), receives each round's delta
 /// once (owned facts appended to the fragment, the whole delta replicated
-/// as the discovery frontier), checkpoints the fragment at every round
-/// boundary (tmp+fsync+rename), and answers per-round discovery commands
+/// as the discovery frontier), and answers per-round discovery commands
 /// with CRC-checked candidate frames (net/frame.h) carrying per-command
-/// sequence numbers. The coordinator validates every ack against its acknowledged
-/// ownership manifest (expected fragment count + rolling content hash),
-/// retains each round's delta as a durable exchange log before accepting
-/// any ack for that boundary, and survives kill -9 / OOM / stall /
-/// corrupt of any worker by respawning it and rebuilding its fragment
-/// from the newest good checkpoint generation plus exchange-log replay.
-/// Results are bit-identical to Chase(db, tgds, chase_options) at every
+/// sequence numbers. The coordinator keeps the whole instance, validates
+/// every ack against its ownership manifest (expected fragment count +
+/// rolling content hash) and re-binds every candidate against its own
+/// instance, so a fragment is derived state: a worker lost to kill -9 /
+/// OOM / stall / corrupt is respawned and reseeded from the coordinator's
+/// instance, and no shard state is written to disk. Results are
+/// bit-identical to Chase(db, tgds, chase_options) at every
 /// shard count — facts, order, levels, null ids, witness certificates,
 /// checkpoint bytes — across mid-run resharding and coordinator restart.
 ChaseResult StorageShardChase(const Instance& db, const TgdSet& tgds,
@@ -182,9 +172,9 @@ ChaseResult StorageShardChase(const Instance& db, const TgdSet& tgds,
 
 /// Crash-safe storage-sharded chase: resumes the engine from the newest
 /// good generation in `checkpoint_dir` (chase/checkpoint.h), then
-/// continues storage-sharded. Workers of a restarted coordinator rebuild
-/// their fragments from `storage_options.state_dir` (checkpoint + logs)
-/// when usable and are reseeded from the resumed instance otherwise.
+/// continues storage-sharded, at any shard count. The engine checkpoints
+/// are the only durable state: the restarted coordinator's fresh workers
+/// are seeded from the resumed instance.
 ChaseResult ResumeStorageShardChase(const std::string& checkpoint_dir,
                                     const Instance& db, const TgdSet& tgds,
                                     const ChaseOptions& chase_options,

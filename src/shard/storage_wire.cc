@@ -8,8 +8,7 @@ namespace {
 
 // Minimum encoded bytes per claimed element, as kMinIndexBytes.
 constexpr uint64_t kMinUnitBytes = 8 + 4 + 8 + 8;
-constexpr uint64_t kMinGroupBytes = 4 + 8 + 8 + 8;
-constexpr uint64_t kMinLogBytes = 8;
+constexpr uint64_t kMinGroupBytes = 4 + 8 + 8;
 
 void EncodeUnits(const std::vector<ChaseDiscoveryUnit>& units,
                  BinaryWriter* writer) {
@@ -61,8 +60,6 @@ std::string EncodeStorageCommand(const StorageCommand& command) {
   for (uint64_t index : command.seed_indexes) writer.WriteU64(index);
   EncodeAtomVector(command.seed_atoms, &writer);
   EncodeAtomVector(command.frontier, &writer);
-  writer.WriteU64(command.logs.size());
-  for (const std::string& log : command.logs) writer.WriteString(log);
   EncodeUnits(command.units, &writer);
   return writer.Take();
 }
@@ -84,7 +81,9 @@ SnapshotStatus DecodeStorageCommand(std::string_view payload,
     return SnapshotStatus::Fail(SnapshotError::kTruncated,
                                 "storage command: truncated header");
   }
-  if (type < 1 || type > 4) {
+  if (type != static_cast<uint32_t>(StorageCommand::Type::kSeed) &&
+      type != static_cast<uint32_t>(StorageCommand::Type::kDelta) &&
+      type != static_cast<uint32_t>(StorageCommand::Type::kDiscover)) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,
                                 "storage command: unknown type");
   }
@@ -106,24 +105,6 @@ SnapshotStatus DecodeStorageCommand(std::string_view payload,
   if (!status.ok()) return status;
   status = DecodeAtomVector(&reader, &command.frontier);
   if (!status.ok()) return status;
-  uint64_t log_count = 0;
-  if (!reader.ReadU64(&log_count)) {
-    return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                "storage command: truncated log count");
-  }
-  if (log_count > reader.remaining() / kMinLogBytes + 1) {
-    return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "storage command: absurd log count");
-  }
-  command.logs.reserve(log_count);
-  for (uint64_t i = 0; i < log_count; ++i) {
-    std::string log;
-    if (!reader.ReadString(&log)) {
-      return SnapshotStatus::Fail(SnapshotError::kTruncated,
-                                  "storage command: truncated log");
-    }
-    command.logs.push_back(std::move(log));
-  }
   if (!DecodeUnits(&reader, &command.units)) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,
                                 "storage command: bad units");
@@ -151,14 +132,10 @@ std::string EncodeStorageReply(const StorageReply& reply) {
   writer.WriteString(reply.error);
   writer.WriteU64(reply.fragment_count);
   writer.WriteU64(reply.fragment_hash);
-  writer.WriteU64(reply.checkpoint_gen);
-  writer.WriteU64(reply.oldest_checkpoint_gen);
-  writer.WriteU64(reply.rebuilt_from);
   writer.WriteU64(reply.groups.size());
   for (const StorageReplyGroup& group : reply.groups) {
     writer.WriteU32(group.unit_index);
     writer.WriteU64(group.fact_index);
-    EncodeAtomVector(group.cond, &writer);
     writer.WriteU64(group.side_indexes.size());
     for (uint64_t side : group.side_indexes) writer.WriteU64(side);
   }
@@ -182,9 +159,6 @@ SnapshotStatus DecodeStorageReply(std::string_view payload,
   }
   reader.ReadU64(&reply.fragment_count);
   reader.ReadU64(&reply.fragment_hash);
-  reader.ReadU64(&reply.checkpoint_gen);
-  reader.ReadU64(&reply.oldest_checkpoint_gen);
-  reader.ReadU64(&reply.rebuilt_from);
   uint64_t group_count = 0;
   if (!reader.ReadU64(&group_count)) {
     return SnapshotStatus::Fail(SnapshotError::kTruncated,
@@ -207,8 +181,6 @@ SnapshotStatus DecodeStorageReply(std::string_view payload,
       return SnapshotStatus::Fail(SnapshotError::kTruncated,
                                   "storage reply: truncated group");
     }
-    const SnapshotStatus status = DecodeAtomVector(&reader, &group.cond);
-    if (!status.ok()) return status;
     uint64_t side_count = 0;
     if (!reader.ReadU64(&side_count)) {
       return SnapshotStatus::Fail(SnapshotError::kTruncated,

@@ -20,10 +20,6 @@ namespace gqe {
 /// forked interner, and accepts the labelled nulls the chase mints after
 /// fork).
 
-/// "No generation": fragment checkpoints are numbered by round boundary,
-/// and ~0 marks the absence of one (a fresh slot, a failed write).
-constexpr uint64_t kNoGen = ~0ull;
-
 /// Minimum encoded bytes of one u64 index: a claimed index count the
 /// remaining payload cannot hold is rejected before anything is
 /// allocated (guards against CRC-valid but hostile payloads).
@@ -32,17 +28,18 @@ constexpr uint64_t kMinIndexBytes = 8;
 struct StorageCommand {
   enum class Type : uint32_t {
     /// Full fragment seed: every owned (global index, atom) pair plus the
-    /// round frontier. Legal only for a worker that has never acked under
-    /// this layout — past that point the coordinator refuses to reseed,
-    /// which is what makes rebuild failures observable instead of being
-    /// papered over by re-shipping state that might itself be the bug.
+    /// round frontier, read from the coordinator's instance. Sent to any
+    /// worker that is not exactly one boundary behind: a fresh fleet, a
+    /// worker respawned after a fault, a restarted coordinator's fleet.
+    /// The ack's ownership manifest still has to match before the
+    /// fragment serves discovery.
     kSeed = 1,
     /// One round's delta: the worker appends its owned facts at their
     /// global indexes and replaces the replicated frontier.
     kDelta = 2,
-    /// Crash recovery: retained exchange logs ride down; the worker picks
-    /// its newest usable disk checkpoint and replays forward.
-    kRebuild = 3,
+    // Type 3 is retired (it once asked a worker to rebuild from on-disk
+    // fragment checkpoints and exchange logs) and is never reused.
+
     /// Run this round's trigger discovery against fragment + frontier.
     kDiscover = 4,
   };
@@ -66,8 +63,6 @@ struct StorageCommand {
   std::vector<Atom> seed_atoms;
   /// kSeed/kDelta: the round frontier (== the delta, replicated).
   std::vector<Atom> frontier;
-  /// kRebuild: raw retained log file bytes, ascending boundary.
-  std::vector<std::string> logs;
   /// kDiscover: the round's units in canonical order.
   std::vector<ChaseDiscoveryUnit> units;
 };
@@ -75,10 +70,6 @@ struct StorageCommand {
 struct StorageReplyGroup {
   uint32_t unit_index = 0;
   uint64_t fact_index = 0;
-  /// Ground side atoms the emitting shard does not own and therefore
-  /// could not check; the coordinator confirms every ground side against
-  /// the global instance before merging, so this field is diagnostic.
-  std::vector<Atom> cond;
   /// Global indexes of matching free-side facts owned by the emitting
   /// shard, strictly ascending. Substitutions are NOT shipped: the
   /// coordinator re-binds each candidate against its own instance, which
@@ -96,19 +87,14 @@ struct StorageReply {
   uint32_t shard = 0;
   uint32_t num_shards = 1;
   /// kAck: load outcome. ok=false with an intact envelope means the
-  /// worker itself judged its state unusable (rebuild ladder exhausted).
+  /// worker itself judged its state unusable (a delta that does not
+  /// continue its fragment).
   bool ok = true;
   std::string error;
+  /// kAck: the fragment's ownership manifest (owned-fact count and
+  /// rolling content hash) after the load.
   uint64_t fragment_count = 0;
   uint64_t fragment_hash = 0;
-  /// Newest / oldest fragment generations durable on disk after this
-  /// load. The oldest bounds exchange-log pruning: a log is deletable
-  /// only when no shard's retained checkpoint could need it to replay.
-  uint64_t checkpoint_gen = kNoGen;
-  uint64_t oldest_checkpoint_gen = kNoGen;
-  /// The generation this load rebuilt from (kNoGen: not a rebuild;
-  /// kScratchGen: log-only replay from round zero).
-  uint64_t rebuilt_from = kNoGen;
   /// kCandidates: groups in strictly increasing (unit, fact) order.
   std::vector<StorageReplyGroup> groups;
 };

@@ -689,7 +689,8 @@ TEST(GuardedEnginePairs, TreeDpAndBacktrackingAgreeOnPortion) {
 // on, Σ also gets the recursive rule eg1(X, Y) -> eg1(Y, E). An eg1
 // fact whose target has no eg1 successor then starts an infinite
 // restricted chase, and the witness folds blocked bags onto their
-// ancestors instead.
+// ancestors instead; those seeds also probe the witness with Boolean
+// eg1 cycles, the queries that see where a fold lands.
 TEST(GuardedEnginePairs, FiniteWitnessMatchesCertainAnswers) {
   const Term x = Term::Variable("X");
   const Term y = Term::Variable("Y");
@@ -712,6 +713,25 @@ TEST(GuardedEnginePairs, FiniteWitnessMatchesCertainAnswers) {
         << "seed " << seed << "\n" << GuardedCase(sigma, db, query);
     EXPECT_TRUE(WitnessAgreesOnQuery(witness, db, sigma, query))
         << "seed " << seed << "\n" << GuardedCase(sigma, db, query);
+    if (seed >= kGuardedSeeds) {
+      // Boolean eg1 cycles of length k <= n: a fold closes an eg1 path
+      // back onto an ancestor n+1 bags down, which the random query,
+      // anchored at dom(D), rarely reaches. Each probe has k <= n
+      // variables, so Thm 6.7 makes the same witness agree on it too.
+      for (int k = 1; k <= n; ++k) {
+        std::vector<Atom> cycle;
+        for (int i = 0; i < k; ++i) {
+          cycle.push_back(Atom::Make(
+              GuardedPredicate(1),
+              {Term::Variable("QC" + std::to_string(i)),
+               Term::Variable("QC" + std::to_string((i + 1) % k))}));
+        }
+        const UCQ probe({CQ({}, std::move(cycle))});
+        EXPECT_TRUE(WitnessAgreesOnQuery(witness, db, sigma, probe))
+            << "seed " << seed << " cycle " << k << "\n"
+            << GuardedCase(sigma, db, probe);
+      }
+    }
     ++checked;
     folded += witness.folds > 0;
   }

@@ -1,11 +1,10 @@
 // Partitioned fact storage with self-healing shards (shard/storage_shard):
 // the instance is hash-partitioned into per-shard fragments owned by
 // long-lived worker processes, derived facts are shipped to their owners
-// through sequence-numbered CRC-enveloped exchanges, every shard
-// checkpoints its fragment at round boundaries, and the coordinator
+// through sequence-numbered CRC-checked frames, and the coordinator
 // survives kill -9 / OOM / stall / corrupt of any shard by respawning it
-// and rebuilding the fragment from the newest good checkpoint plus the
-// retained exchange log. The invariant under test everywhere:
+// and reseeding the fragment from its own instance; no shard state is
+// written to disk. The invariant under test everywhere:
 // bit-identical results to the in-process chase — facts in insertion
 // order, levels, null ids, witness certificates, durable checkpoint
 // bytes — at every shard count, under every fault, across mid-run
@@ -17,9 +16,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +27,7 @@
 #include "chase/checkpoint.h"
 #include "parser/parser.h"
 #include "shard/storage_shard.h"
+#include "shard/storage_wire.h"
 #include "verify/verifier.h"
 #include "verify/witness.h"
 
@@ -119,74 +118,42 @@ void ExpectNoZombies(const std::string& label) {
       << label << ": leaked a child (waitpid returned " << r << ")";
 }
 
-/// Parses `<prefix><number><suffix>` file names under `dir`, ascending.
-std::vector<uint64_t> NumberedFiles(const std::string& dir,
-                                    const std::string& prefix,
-                                    const std::string& suffix) {
-  std::vector<uint64_t> out;
+/// The private temp directories a storage coordinator could make.
+std::vector<std::string> StorageTempDirs() {
+  std::vector<std::string> out;
   std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir, ec)) {
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp", ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    out.push_back(std::strtoull(name.c_str() + prefix.size(), nullptr, 10));
+    if (name.rfind("gqe-storage-", 0) == 0) out.push_back(name);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-/// A checkpoint sink that damages a shard's on-disk fragment files at a
-/// chosen committed boundary: the newest generation only (recovery must
-/// fall back to the previous good one + longer exchange-log replay) or
-/// every retained generation (recovery must fail honestly).
-class FragmentCorruptingSink : public ChaseCheckpointSink {
+/// A checkpoint sink that looks for shard state on disk at every
+/// committed round boundary, while the coordinator and its workers are
+/// alive: any entry under `state_dir`, or a /tmp/gqe-storage-* directory
+/// that was not there when the probe was made.
+class DiskStateProbe : public ChaseCheckpointSink {
  public:
-  enum class Damage { kFlipNewest, kTruncateNewest, kFlipAll };
+  explicit DiskStateProbe(std::string state_dir)
+      : state_dir_(std::move(state_dir)), tmp_before_(StorageTempDirs()) {}
 
-  FragmentCorruptingSink(std::string shard_dir, uint64_t at_rounds,
-                         Damage damage)
-      : shard_dir_(std::move(shard_dir)),
-        at_rounds_(at_rounds),
-        damage_(damage) {}
-
-  void Write(const ChaseCheckpointState& state, bool) override {
-    if (fired_ || state.rounds_completed != at_rounds_) return;
-    fired_ = true;
-    const std::vector<uint64_t> gens =
-        NumberedFiles(shard_dir_, "fragment-", ".frag");
-    ASSERT_FALSE(gens.empty()) << "no fragments to corrupt in " << shard_dir_;
-    for (uint64_t gen : gens) {
-      if (damage_ != Damage::kFlipAll && gen != gens.back()) continue;
-      const std::string path =
-          shard_dir_ + "/fragment-" + std::to_string(gen) + ".frag";
-      std::string bytes;
-      ASSERT_TRUE(ReadFileBytes(path, &bytes).ok()) << path;
-      ASSERT_FALSE(bytes.empty()) << path;
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (damage_ == Damage::kTruncateNewest) {
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() / 2));
-      } else {
-        bytes[bytes.size() / 2] ^= 0x04;
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      }
-    }
-    ++corrupted_;
+  void Write(const ChaseCheckpointState&, bool) override {
+    ++boundaries_;
+    std::error_code ec;
+    if (!std::filesystem::is_empty(state_dir_, ec)) ++dirty_;
+    if (StorageTempDirs() != tmp_before_) ++dirty_;
   }
 
-  int corrupted() const { return corrupted_; }
+  int boundaries() const { return boundaries_; }
+  int dirty() const { return dirty_; }
 
  private:
-  std::string shard_dir_;
-  uint64_t at_rounds_;
-  Damage damage_;
-  bool fired_ = false;
-  int corrupted_ = 0;
+  std::string state_dir_;
+  std::vector<std::string> tmp_before_;
+  int boundaries_ = 0;
+  int dirty_ = 0;
 };
 
 TEST(StorageShardTest, FaultNamesAreStable) {
@@ -197,6 +164,19 @@ TEST(StorageShardTest, FaultNamesAreStable) {
   EXPECT_STREQ(StorageFaultPhaseName(StorageFault::Phase::kLoad), "load");
   EXPECT_STREQ(StorageFaultPhaseName(StorageFault::Phase::kDiscover),
                "discover");
+}
+
+/// Command type 3 once asked a worker to rebuild from disk; it is
+/// retired, so a frame carrying it is a format error, never a command.
+TEST(StorageShardTest, RetiredCommandTypeIsRejected) {
+  StorageCommand command;
+  command.type = StorageCommand::Type::kDelta;
+  std::string payload = EncodeStorageCommand(command);
+  StorageCommand decoded;
+  ASSERT_TRUE(DecodeStorageCommand(payload, &decoded).ok());
+  payload[0] = 3;  // the little-endian u32 type field leads the payload
+  EXPECT_EQ(DecodeStorageCommand(payload, &decoded).error,
+            SnapshotError::kFormatError);
 }
 
 TEST(StorageShardTest, OwnershipIsContentHashPartition) {
@@ -240,52 +220,58 @@ TEST(StorageShardTest, AnyShardCountIsBitIdenticalToInProcessChase) {
     EXPECT_EQ(stats.bad_acks, 0u) << label;
     EXPECT_GT(stats.max_fragment_facts, 0u) << label;
     EXPECT_LE(stats.max_fragment_facts, reference.instance.size()) << label;
-    EXPECT_GE(stats.logs_written, stats.rounds) << label;
+    EXPECT_EQ(stats.respawns, 0u) << label;
   }
   ExpectNoZombies("storage shard-count sweep");
   Term::SetNextNullId(null_base);
 }
 
-/// The durable layout: per-shard fragment checkpoints bounded by
-/// keep_generations, and retained exchange logs pruned only once no
-/// retained fragment generation could need them to replay forward.
-TEST(StorageShardTest, DurableLayoutRetainsFragmentsAndPrunesLogs) {
+/// Storage shards keep no state on disk. `state_dir` is read nowhere: a
+/// run with it set leaves the directory empty, and no run makes a
+/// private temp directory, fault-free or while reseeding a killed worker.
+TEST(StorageShardTest, RunWritesNoShardStateToDisk) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
   const uint32_t null_base = Term::NextNullId();
-  const std::string state_dir = FreshDir("layout");
 
   Term::SetNextNullId(null_base);
-  StorageShardOptions options = FastStorageOptions(2);
-  options.state_dir = state_dir;
-  StorageShardStats stats;
-  ChaseResult result =
-      StorageShardChase(db, sigma, WitnessChaseOptions(), options, &stats);
-  ASSERT_TRUE(result.complete);
-  ASSERT_GE(result.rounds_completed, 4u);
+  ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
+  ASSERT_TRUE(reference.complete);
 
-  uint64_t min_oldest_gen = ~0ull;
-  for (int s = 0; s < 2; ++s) {
-    const std::string shard_dir =
-        state_dir + "/shard-" + std::to_string(s);
-    const std::vector<uint64_t> gens =
-        NumberedFiles(shard_dir, "fragment-", ".frag");
-    ASSERT_FALSE(gens.empty()) << shard_dir;
-    EXPECT_LE(gens.size(),
-              static_cast<size_t>(options.keep_generations))
-        << shard_dir;
-    min_oldest_gen = std::min(min_oldest_gen, gens.front());
+  const std::string state_dir = FreshDir("no_state");
+  ASSERT_TRUE(std::filesystem::create_directories(state_dir));
+  struct Run {
+    const char* label;
+    bool with_state_dir;
+    bool faulted;
+  };
+  for (const Run& run : {Run{"state_dir, fault-free", true, false},
+                         Run{"state_dir, faulted", true, true},
+                         Run{"no state_dir, faulted", false, true}}) {
+    const std::string label = run.label;
+    const bool faulted = run.faulted;
+    StorageShardOptions options = FastStorageOptions(2);
+    if (run.with_state_dir) options.state_dir = state_dir;
+    if (faulted) {
+      options.faults.push_back(
+          {2, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
+    }
+    DiskStateProbe probe(state_dir);
+    ChaseOptions chase_options = WitnessChaseOptions();
+    chase_options.checkpoint_sink = &probe;
+    Term::SetNextNullId(null_base);
+    StorageShardStats stats;
+    ChaseResult sharded =
+        StorageShardChase(db, sigma, chase_options, options, &stats);
+    ASSERT_TRUE(sharded.complete) << label;
+    ExpectBitIdentical(sharded, reference, label);
+    EXPECT_EQ(stats.reseeds, faulted ? 1u : 0u) << label;
+    EXPECT_GE(probe.boundaries(), 4) << label;
+    EXPECT_EQ(probe.dirty(), 0) << label;
+    EXPECT_TRUE(std::filesystem::is_empty(state_dir)) << label;
   }
-  const std::vector<uint64_t> logs =
-      NumberedFiles(state_dir + "/logs", "log-", ".log");
-  ASSERT_FALSE(logs.empty());
-  // Every surviving log is one some retained fragment generation still
-  // needs for forward replay; everything older was pruned.
-  EXPECT_GT(logs.front(), min_oldest_gen);
-  EXPECT_GE(stats.logs_written, stats.rounds);
-  EXPECT_GE(stats.logs_pruned, 1u);
-
   std::filesystem::remove_all(state_dir);
+  ExpectNoZombies("no shard state on disk");
   Term::SetNextNullId(null_base);
 }
 
@@ -431,11 +417,10 @@ TEST(StorageShardTest, ChaosMatrixEveryBoundaryBothPhasesIsBitIdentical) {
   Term::SetNextNullId(null_base);
 }
 
-/// Satellite regression: a shard killed BETWEEN its round ack and the
-/// round commit. The exchange log for the boundary was fsynced before
-/// the shard could ack it, so the respawned worker must rebuild from its
-/// just-written fragment checkpoint + retained logs — never a reseed.
-TEST(StorageShardTest, KillBetweenAckAndCommitRebuildsFromRetainedLog) {
+/// A shard killed BETWEEN its round ack and the round commit: its
+/// fragment had been acked for the boundary, and the respawned worker is
+/// reseeded from the coordinator's instance at that same boundary.
+TEST(StorageShardTest, KillBetweenAckAndCommitReseeds) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
   const uint32_t null_base = Term::NextNullId();
@@ -444,9 +429,8 @@ TEST(StorageShardTest, KillBetweenAckAndCommitRebuildsFromRetainedLog) {
   ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
   ASSERT_TRUE(reference.complete);
 
-  // Discover-phase kill: the load for boundary 2 has been acked (the
-  // fragment checkpoint for generation 2 is durable) when the worker is
-  // killed; the boundary itself has not committed.
+  // Discover-phase kill: the load for boundary 2 has been acked when the
+  // worker is killed; the boundary itself has not committed.
   StorageShardOptions options = FastStorageOptions(2);
   options.faults.push_back(
       {2, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kDiscover});
@@ -458,120 +442,9 @@ TEST(StorageShardTest, KillBetweenAckAndCommitRebuildsFromRetainedLog) {
   ExpectBitIdentical(sharded, reference, "ack-commit kill");
   ExpectWitnessIdentical(db, sigma, sharded, reference, "ack-commit kill");
   EXPECT_GE(stats.respawns, 1u);
-  EXPECT_GE(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.reseeds, 0u);
+  EXPECT_GE(stats.reseeds, 1u);
   EXPECT_EQ(stats.bad_acks, 0u);
   ExpectNoZombies("ack-commit kill");
-  Term::SetNextNullId(null_base);
-}
-
-/// Satellite: fragment-checkpoint corruption. Bit-flip and truncation of
-/// the newest generation must push recovery to the previous good
-/// generation plus a longer exchange-log replay — still bit-identical.
-TEST(StorageShardTest, CorruptNewestFragmentFallsBackToOlderGeneration) {
-  Instance db = StDb();
-  TgdSet sigma = StSigma();
-  const uint32_t null_base = Term::NextNullId();
-
-  Term::SetNextNullId(null_base);
-  ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
-  ASSERT_TRUE(reference.complete);
-  ASSERT_GE(reference.rounds_completed, 3u);
-
-  for (FragmentCorruptingSink::Damage damage :
-       {FragmentCorruptingSink::Damage::kFlipNewest,
-        FragmentCorruptingSink::Damage::kTruncateNewest}) {
-    const std::string label =
-        damage == FragmentCorruptingSink::Damage::kFlipNewest ? "bit-flip"
-                                                              : "truncate";
-    const std::string state_dir = FreshDir("frag_corrupt_" + label);
-    // After boundary 1 commits, damage shard 0's newest fragment
-    // (generation 1); then kill shard 0's delta load at boundary 2. The
-    // respawned worker must skip the damaged generation and rebuild from
-    // generation 0 + logs 1..2.
-    StorageShardOptions options = FastStorageOptions(2);
-    options.state_dir = state_dir;
-    options.faults.push_back(
-        {2, 0, 1, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
-    FragmentCorruptingSink sink(state_dir + "/shard-0", 2, damage);
-    ChaseOptions chase_options = WitnessChaseOptions();
-    chase_options.checkpoint_sink = &sink;
-
-    Term::SetNextNullId(null_base);
-    StorageShardStats stats;
-    ChaseResult sharded =
-        StorageShardChase(db, sigma, chase_options, options, &stats);
-    ASSERT_TRUE(sharded.complete) << label;
-    EXPECT_EQ(sink.corrupted(), 1) << label;
-    ExpectBitIdentical(sharded, reference, label);
-    ExpectWitnessIdentical(db, sigma, sharded, reference, label);
-    EXPECT_GE(stats.rebuilds, 1u) << label;
-    EXPECT_EQ(stats.reseeds, 0u) << label;
-    EXPECT_EQ(stats.bad_acks, 0u) << label;
-    std::filesystem::remove_all(state_dir);
-  }
-  ExpectNoZombies("fragment corruption");
-  Term::SetNextNullId(null_base);
-}
-
-/// Satellite: double failure — every retained fragment generation of a
-/// shard damaged, scratch replay impossible (old logs pruned), and no
-/// inline fallback allowed. The run must stop honestly with
-/// Status::kShardLost at the last committed boundary; a clean rerun over
-/// fresh state still converges bit-identically.
-TEST(StorageShardTest, DoubleFragmentCorruptionIsShardLostAtBoundary) {
-  Instance db = StDb();
-  TgdSet sigma = StSigma();
-  const uint32_t null_base = Term::NextNullId();
-
-  Term::SetNextNullId(null_base);
-  ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
-  ASSERT_TRUE(reference.complete);
-  ASSERT_GE(reference.rounds_completed, 4u);
-
-  const std::string state_dir = FreshDir("frag_double");
-  StorageShardOptions doomed = FastStorageOptions(2);
-  doomed.state_dir = state_dir;
-  doomed.inline_fallback = false;
-  doomed.max_attempts = 2;
-  doomed.faults.push_back(
-      {3, 0, 1, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
-  FragmentCorruptingSink sink(state_dir + "/shard-0", 3,
-                              FragmentCorruptingSink::Damage::kFlipAll);
-  ChaseOptions chase_options = WitnessChaseOptions();
-  chase_options.checkpoint_sink = &sink;
-
-  Term::SetNextNullId(null_base);
-  StorageShardStats stats;
-  ChaseResult lost =
-      StorageShardChase(db, sigma, chase_options, doomed, &stats);
-  EXPECT_EQ(lost.outcome.status, Status::kShardLost);
-  EXPECT_FALSE(lost.complete);
-  EXPECT_EQ(lost.rounds_completed, 3u);
-  EXPECT_EQ(sink.corrupted(), 1);
-  EXPECT_EQ(stats.reseeds, 0u);
-  bool rebuild_failed = false;
-  bool shard_lost = false;
-  for (const StorageShardEvent& event : stats.events) {
-    rebuild_failed |= event.cause == "rebuild-failed";
-    shard_lost |= event.cause == "shard-lost";
-  }
-  EXPECT_TRUE(rebuild_failed);
-  EXPECT_TRUE(shard_lost);
-  ExpectNoZombies("double corruption");
-
-  // The failure is clean: a rerun over fresh durable state converges.
-  const std::string fresh_dir = FreshDir("frag_double_fresh");
-  StorageShardOptions retry = FastStorageOptions(2);
-  retry.state_dir = fresh_dir;
-  Term::SetNextNullId(null_base);
-  ChaseResult rerun =
-      StorageShardChase(db, sigma, WitnessChaseOptions(), retry);
-  ASSERT_TRUE(rerun.complete);
-  ExpectBitIdentical(rerun, reference, "rerun after shard loss");
-
-  std::filesystem::remove_all(state_dir);
-  std::filesystem::remove_all(fresh_dir);
   Term::SetNextNullId(null_base);
 }
 
@@ -591,9 +464,7 @@ TEST(StorageShardTest, ShardLostRunResumesUnderDifferentShardCount) {
 
   // Shard 1 dies on both attempts of its boundary-2 discovery.
   const std::string dir = FreshDir("lost_ckpt");
-  const std::string state_dir = FreshDir("lost_state");
   StorageShardOptions doomed = FastStorageOptions(4);
-  doomed.state_dir = state_dir;
   doomed.inline_fallback = false;
   doomed.max_attempts = 2;
   doomed.faults.push_back(
@@ -612,7 +483,6 @@ TEST(StorageShardTest, ShardLostRunResumesUnderDifferentShardCount) {
 
   Term::SetNextNullId(null_base + 4321);
   StorageShardOptions after = FastStorageOptions(3);
-  after.state_dir = state_dir;
   ResumeInfo info;
   ChaseResult resumed = ResumeStorageShardChase(
       dir, db, sigma, WitnessChaseOptions(), after, &info);
@@ -623,17 +493,16 @@ TEST(StorageShardTest, ShardLostRunResumesUnderDifferentShardCount) {
                          "resume after shard loss");
 
   std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(state_dir);
   ExpectNoZombies("resume after shard loss");
   Term::SetNextNullId(null_base);
 }
 
 /// Whole-coordinator crash: kill the run mid-flight (governor fault
-/// injector), then restart from the engine checkpoints with the same
-/// durable state_dir and layout. The restarted fleet rebuilds its
-/// fragments from disk and the run lands bit-identical — including the
+/// injector), then restart from the engine checkpoints under the same
+/// layout. The restarted coordinator seeds its fresh fleet from the
+/// resumed instance and the run lands bit-identical — including the
 /// durable checkpoint bytes.
-TEST(StorageShardTest, CoordinatorKillAndRestartRebuildsFromDisk) {
+TEST(StorageShardTest, CoordinatorKillAndRestartSeedsFromResumedInstance) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
   const uint32_t null_base = Term::NextNullId();
@@ -651,10 +520,8 @@ TEST(StorageShardTest, CoordinatorKillAndRestartRebuildsFromDisk) {
                   .ok());
 
   const std::string dir = FreshDir("restart_ckpt");
-  const std::string state_dir = FreshDir("restart_state");
 
-  // Phase 1: killed mid-run; engine checkpoints and shard fragments
-  // survive on disk.
+  // Phase 1: killed mid-run; the engine checkpoints survive on disk.
   Term::SetNextNullId(null_base);
   TestFaultInjector injector(Status::kCancelled, 60);
   ExecutionBudget budget;
@@ -663,15 +530,14 @@ TEST(StorageShardTest, CoordinatorKillAndRestartRebuildsFromDisk) {
   ChaseOptions killed_options = WitnessChaseOptions();
   killed_options.governor = &governor;
   StorageShardOptions options = FastStorageOptions(2);
-  options.state_dir = state_dir;
   ChaseResult killed = ResumeStorageShardChase(dir, db, sigma, killed_options,
                                                options);
   ASSERT_EQ(killed.outcome.status, Status::kCancelled);
   ASSERT_FALSE(killed.complete);
   ExpectNoZombies("killed coordinator");
 
-  // Phase 2: same layout, same durable state — the fresh fleet rebuilds
-  // from fragment checkpoints + retained logs.
+  // Phase 2: same layout — the fresh fleet is seeded at first contact,
+  // which is not a recovery: no respawn, no reseed.
   Term::SetNextNullId(null_base + 7777);
   ResumeInfo info;
   StorageShardStats stats;
@@ -682,7 +548,8 @@ TEST(StorageShardTest, CoordinatorKillAndRestartRebuildsFromDisk) {
   ExpectBitIdentical(resumed, reference, "coordinator restart");
   ExpectWitnessIdentical(db, sigma, resumed, reference,
                          "coordinator restart");
-  EXPECT_GE(stats.rebuilds + stats.reseeds, 1u);
+  EXPECT_EQ(stats.respawns, 0u);
+  EXPECT_EQ(stats.reseeds, 0u);
 
   CheckpointDir checkpoints(dir);
   ASSERT_FALSE(checkpoints.Generations().empty());
@@ -694,15 +561,14 @@ TEST(StorageShardTest, CoordinatorKillAndRestartRebuildsFromDisk) {
   EXPECT_EQ(resumed_bytes, ref_bytes);
 
   std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(state_dir);
   std::filesystem::remove_all(ref_dir);
   ExpectNoZombies("coordinator restart");
   Term::SetNextNullId(null_base);
 }
 
-/// Restart under a different layout: the old fragments and logs are
-/// unusable under the new shard count, so the fleet reseeds — still
-/// bit-identical, down to the newest engine checkpoint's bytes.
+/// Restart under a different layout: the fresh fleet is seeded from the
+/// resumed instance under the new shard count — still bit-identical,
+/// down to the newest engine checkpoint's bytes.
 TEST(StorageShardTest, RestartUnderDifferentLayoutReseeds) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
@@ -727,10 +593,9 @@ TEST(StorageShardTest, RestartUnderDifferentLayoutReseeds) {
     const std::string label =
         "relayout " + std::to_string(n) + "->" + std::to_string(m);
     const std::string dir = FreshDir("relayout_ckpt");
-    const std::string state_dir = FreshDir("relayout_state");
 
-    // Phase 1: N shards, killed partway through; engine checkpoints and
-    // N-shard fragments survive on disk.
+    // Phase 1: N shards, killed partway through; the engine checkpoints
+    // survive on disk.
     Term::SetNextNullId(null_base);
     TestFaultInjector injector(Status::kCancelled, 60);
     ExecutionBudget budget;
@@ -739,16 +604,14 @@ TEST(StorageShardTest, RestartUnderDifferentLayoutReseeds) {
     ChaseOptions killed_options = WitnessChaseOptions();
     killed_options.governor = &governor;
     StorageShardOptions before = FastStorageOptions(n);
-    before.state_dir = state_dir;
     ChaseResult killed =
         ResumeStorageShardChase(dir, db, sigma, killed_options, before);
     ASSERT_EQ(killed.outcome.status, Status::kCancelled) << label;
     ASSERT_FALSE(killed.complete) << label;
 
-    // Phase 2: restart under M shards over the same durable state.
+    // Phase 2: restart under M shards from the same engine checkpoints.
     Term::SetNextNullId(null_base + 31);
     StorageShardOptions after = FastStorageOptions(m);
-    after.state_dir = state_dir;
     ResumeInfo info;
     ChaseResult resumed = ResumeStorageShardChase(
         dir, db, sigma, WitnessChaseOptions(), after, &info);
@@ -768,7 +631,6 @@ TEST(StorageShardTest, RestartUnderDifferentLayoutReseeds) {
     EXPECT_EQ(resumed_bytes, ref_bytes) << label;
 
     std::filesystem::remove_all(dir);
-    std::filesystem::remove_all(state_dir);
   }
   std::filesystem::remove_all(ref_dir);
   ExpectNoZombies("relayout restart");

@@ -7,12 +7,13 @@
 //
 // --checkpoint-dir=PATH switches to the durable-chase mode: a fixed
 // deterministic workload (--durable-n=N chain, transitive closure) runs
-// under round-boundary checkpointing with --checkpoint-every granularity,
-// resuming from the directory's latest good snapshot. The final line
-// prints status/rounds/facts plus the instance CRC-32, so the CI crash
-// recovery smoke can kill -9 the run, resume it, and diff against an
-// uninterrupted run. SIGINT/SIGTERM cancel cooperatively: the run stops
-// at a round boundary, writes a final checkpoint and still reports.
+// with every round boundary checkpointed, resuming from the directory's
+// latest good snapshot. The final line prints status/rounds/facts plus
+// the instance CRC-32, so the CI crash recovery smoke can kill -9 the
+// run, resume it, and diff against an uninterrupted run. SIGINT/SIGTERM
+// cancel cooperatively: the run stops at a round boundary, whose
+// checkpoint is already on disk, and still reports. Durable mode takes
+// only --durable-n and the budget flags; any other argument exits 2.
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +35,7 @@ namespace {
 
 ExecutionBudget g_budget;
 BenchWatchdog g_watchdog;
-CheckpointFlags g_checkpoint;
+std::string g_checkpoint_dir;
 BenchJsonFlags g_json;
 int g_durable_n = 320;
 
@@ -204,17 +205,16 @@ int RunDurableChase() {
   TgdSet sigma = TransitiveClosure();
   ChaseOptions options;
   options.budget = g_budget;
-  options.checkpoint_every = g_checkpoint.every;
 
   ResumeInfo info;
   Stopwatch watch;
-  ChaseResult result = ResumeChase(g_checkpoint.dir, db, sigma, options, &info);
+  ChaseResult result = ResumeChase(g_checkpoint_dir, db, sigma, options, &info);
   const double ms = watch.ElapsedMs();
   g_watchdog.Record("durable chase n=" + std::to_string(g_durable_n),
                     result.outcome);
 
-  std::printf("durable chase: dir=%s every=%d n=%d\n",
-              g_checkpoint.dir.c_str(), g_checkpoint.every, g_durable_n);
+  std::printf("durable chase: dir=%s n=%d\n",
+              g_checkpoint_dir.c_str(), g_durable_n);
   std::printf("resume: resumed=%s generation=%llu skipped=%d (%s)\n",
               info.resumed ? "yes" : "no",
               static_cast<unsigned long long>(info.generation),
@@ -242,16 +242,21 @@ int RunDurableChase() {
 
 int main(int argc, char** argv) {
   gqe::g_budget = gqe::ParseBudgetFlags(&argc, argv);
-  gqe::g_checkpoint = gqe::ParseCheckpointFlags(&argc, argv);
+  gqe::g_checkpoint_dir = gqe::ParseCheckpointDir(&argc, argv);
   gqe::g_json = gqe::ParseBenchJsonFlags(&argc, argv);
   gqe::g_durable_n = gqe::ParseDurableN(&argc, argv, gqe::g_durable_n);
+  if (!gqe::g_checkpoint_dir.empty() && argc > 1) {
+    // Reject a flag durable mode does not take rather than ignore it.
+    std::fprintf(stderr, "bench_chase: unknown argument '%s'\n", argv[1]);
+    return 2;
+  }
   // SIGINT/SIGTERM cancel cooperatively: every chase below runs under
-  // this token, stops at a round boundary (writing a final checkpoint in
-  // durable mode) and the partial tables still print.
+  // this token, stops at a round boundary (in durable mode its
+  // checkpoint is already on disk) and the partial tables still print.
   gqe::CancelToken cancel = gqe::CancelToken::Create();
   gqe::g_budget.cancel = cancel;
   gqe::InstallBenchSignalHandlers(cancel);
-  if (gqe::g_checkpoint.enabled()) return gqe::RunDurableChase();
+  if (!gqe::g_checkpoint_dir.empty()) return gqe::RunDurableChase();
   if (gqe::g_json.enabled) return gqe::RunJsonBench();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

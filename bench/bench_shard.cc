@@ -43,7 +43,7 @@ namespace {
 
 ExecutionBudget g_budget;
 BenchWatchdog g_watchdog;
-CheckpointFlags g_checkpoint;
+std::string g_checkpoint_dir;
 BenchJsonFlags g_json;
 int g_durable_n = 200;
 int g_shards = 1;
@@ -245,7 +245,6 @@ int RunDurableStorageChase() {
   TgdSet sigma = TransitiveClosure();
   ChaseOptions options;
   options.budget = g_budget;
-  options.checkpoint_every = g_checkpoint.every;
 
   StorageShardOptions storage_options = BenchStorageOptions(g_shards);
   storage_options.reshard_at_round = g_reshard_at;
@@ -256,14 +255,13 @@ int RunDurableStorageChase() {
   StorageShardStats stats;
   Stopwatch watch;
   ChaseResult result = ResumeStorageShardChase(
-      g_checkpoint.dir, db, sigma, options, storage_options, &info, &stats);
+      g_checkpoint_dir, db, sigma, options, storage_options, &info, &stats);
   const double ms = watch.ElapsedMs();
   g_watchdog.Record("durable storage chase n=" + std::to_string(g_durable_n),
                     result.outcome);
 
-  std::printf("durable storage chase: dir=%s every=%d n=%d shards=%d\n",
-              g_checkpoint.dir.c_str(), g_checkpoint.every, g_durable_n,
-              g_shards);
+  std::printf("durable storage chase: dir=%s n=%d shards=%d\n",
+              g_checkpoint_dir.c_str(), g_durable_n, g_shards);
   std::printf("resume: resumed=%s generation=%llu skipped=%d (%s)\n",
               info.resumed ? "yes" : "no",
               static_cast<unsigned long long>(info.generation),
@@ -381,7 +379,7 @@ std::vector<StorageFault> ParseChaosFlags(int* argc, char** argv,
 
 int main(int argc, char** argv) {
   gqe::g_budget = gqe::ParseBudgetFlags(&argc, argv);
-  gqe::g_checkpoint = gqe::ParseCheckpointFlags(&argc, argv);
+  gqe::g_checkpoint_dir = gqe::ParseCheckpointDir(&argc, argv);
   gqe::g_json = gqe::ParseBenchJsonFlags(&argc, argv);
   gqe::g_durable_n = gqe::ParseIntFlag(&argc, argv, "--durable-n", 200);
   gqe::g_shards = gqe::ParseIntFlag(&argc, argv, "--shards", 1);
@@ -398,13 +396,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   // SIGINT/SIGTERM cancel cooperatively: the coordinator notices at the
-  // round barrier, puts every worker down, writes a final checkpoint in
-  // durable mode and still reports. (No watchdog threads here: the
-  // coordinator forks without exec and must stay single-threaded.)
+  // round barrier, puts every worker down and still reports; in durable
+  // mode the last round boundary is already checkpointed. (No watchdog
+  // threads here: the coordinator forks without exec and must stay
+  // single-threaded.)
   gqe::CancelToken cancel = gqe::CancelToken::Create();
   gqe::g_budget.cancel = cancel;
   gqe::InstallBenchSignalHandlers(cancel);
-  if (gqe::g_checkpoint.enabled()) return gqe::RunDurableStorageChase();
+  if (!gqe::g_checkpoint_dir.empty()) return gqe::RunDurableStorageChase();
   if (gqe::g_json.enabled) return gqe::RunJsonBench();
   gqe::PrintStorageScaling();
   gqe::PrintStorageRecovery();

@@ -5,6 +5,13 @@
 // kFlipsPerFile single-bit flips. A harness reports a bug by trapping, so
 // a clean exit means every input passed.
 //
+// Each corpus file and its mutants run in a child process of their own.
+// Some harnesses feed process-global state (the snapshot decoders intern
+// names into the global interner), so without the fork whether an input
+// is accepted could depend on the files replayed before it. A failure
+// names its corpus file and reproduces by replaying that file alone; the
+// exit code is the child's (128 + signal when it died of one).
+//
 // Built per harness when GQE_FUZZ is off (fuzz/CMakeLists.txt):
 //   ./build/fuzz/fuzz_replay_parser fuzz/corpus
 
@@ -12,12 +19,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
@@ -58,19 +69,37 @@ int main(int argc, char** argv) {
     std::ifstream in(path, std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-    Run(bytes);
-    ++inputs;
+    std::vector<std::string> batch = {bytes};
     for (int k = 0; k < kTruncations; ++k) {
-      Run(bytes.substr(0, bytes.size() * k / kTruncations));
-      ++inputs;
+      batch.push_back(bytes.substr(0, bytes.size() * k / kTruncations));
     }
     for (int f = 0; f < kFlipsPerFile && !bytes.empty(); ++f) {
       std::string flipped = bytes;
       const size_t bit = rng() % (flipped.size() * 8);
       flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1u << (bit % 8)));
-      Run(flipped);
-      ++inputs;
+      batch.push_back(std::move(flipped));
     }
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0) {
+      std::perror("fork");
+      return 2;
+    }
+    if (pid == 0) {
+      for (const std::string& input : batch) Run(input);
+      std::exit(0);
+    }
+    int status = 0;
+    if (waitpid(pid, &status, 0) != pid) {
+      std::perror("waitpid");
+      return 2;
+    }
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      std::fprintf(stderr, "corpus file %s failed\n", path.c_str());
+      return WIFSIGNALED(status) ? 128 + WTERMSIG(status)
+                                 : WEXITSTATUS(status);
+    }
+    inputs += batch.size();
   }
   std::printf("replayed %zu inputs from %zu corpus files\n", inputs,
               files.size());

@@ -33,7 +33,7 @@ trap cleanup EXIT INT TERM HUP
 
 run_final_line() {
   # Prints only the diffable `final: ...` line of a durable run.
-  "$BENCH" --checkpoint-dir "$1" --checkpoint-every 1 --durable-n "$N" |
+  "$BENCH" --checkpoint-dir "$1" --durable-n "$N" |
     grep '^final:'
 }
 
@@ -46,7 +46,7 @@ echo "== interrupted run: kill -9 mid-chase =="
 KILL_DIR="$WORK/killed"
 # Background the binary directly (not a compound command) so $! is the
 # bench PID and the kill actually lands on it.
-"$BENCH" --checkpoint-dir "$KILL_DIR" --checkpoint-every 1 --durable-n "$N" \
+"$BENCH" --checkpoint-dir "$KILL_DIR" --durable-n "$N" \
   >"$WORK/killed.log" 2>&1 &
 BENCH_PID=$!
 # Wait until at least one snapshot generation exists, then kill hard.
@@ -65,7 +65,7 @@ echo "killed pid $KILLED_PID; generations on disk:"
 ls "$KILL_DIR"
 
 echo "== resume from disk =="
-RESUME_OUT="$("$BENCH" --checkpoint-dir "$KILL_DIR" --checkpoint-every 1 \
+RESUME_OUT="$("$BENCH" --checkpoint-dir "$KILL_DIR" \
   --durable-n "$N")"
 echo "$RESUME_OUT" | grep '^resume:'
 RESUME_LINE="$(echo "$RESUME_OUT" | grep '^final:')"
@@ -84,7 +84,7 @@ echo "== corruption fallback: bit-flip the newest snapshot =="
 NEWEST="$(ls "$KILL_DIR"/chase-*.snap | sort -t- -k2 -n | tail -1)"
 SIZE="$(stat -c%s "$NEWEST")"
 printf '\xff' | dd of="$NEWEST" bs=1 seek=$((SIZE / 2)) conv=notrunc 2>/dev/null
-CORRUPT_OUT="$("$BENCH" --checkpoint-dir "$KILL_DIR" --checkpoint-every 1 \
+CORRUPT_OUT="$("$BENCH" --checkpoint-dir "$KILL_DIR" \
   --durable-n "$N")"
 echo "$CORRUPT_OUT" | grep '^resume:'
 CORRUPT_LINE="$(echo "$CORRUPT_OUT" | grep '^final:')"
@@ -104,7 +104,7 @@ GOLDEN_FINAL="$GOLDEN_DIR/durable_chase_n64.final"
 GOLDEN_SNAP="$GOLDEN_DIR/durable_chase_n64.snap"
 if [ -f "$GOLDEN_FINAL" ] && [ -f "$GOLDEN_SNAP" ]; then
   GOLD_RUN="$WORK/golden"
-  GOLD_LINE="$("$BENCH" --checkpoint-dir "$GOLD_RUN" --checkpoint-every 1 \
+  GOLD_LINE="$("$BENCH" --checkpoint-dir "$GOLD_RUN" \
     --durable-n 64 | grep '^final:')"
   EXPECT_LINE="$(cat "$GOLDEN_FINAL")"
   if [ "$GOLD_LINE" != "$EXPECT_LINE" ]; then

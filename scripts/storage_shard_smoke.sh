@@ -39,7 +39,7 @@ run_storage() {
   # run_storage <dir> <shards> [flags...]: one durable storage run.
   local dir="$1" shards="$2"
   shift 2
-  "$BENCH" --checkpoint-dir "$dir" --checkpoint-every 1 --durable-n "$N" \
+  "$BENCH" --checkpoint-dir "$dir" --durable-n "$N" \
     --shards "$shards" "$@"
 }
 

@@ -3,8 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <filesystem>
 #include <span>
 
 #include "base/interner.h"
@@ -360,6 +363,28 @@ SnapshotStatus WriteFileAtomic(const std::string& path,
   return FsyncParentDir(path);
 }
 
+std::vector<uint64_t> ListNumberedFiles(const std::string& dir,
+                                        std::string_view prefix,
+                                        std::string_view suffix) {
+  std::vector<uint64_t> numbers;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= prefix.size() + suffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(suffix)) {
+      continue;
+    }
+    const char* first = name.data() + prefix.size();
+    const char* last = name.data() + name.size() - suffix.size();
+    uint64_t value = 0;
+    const auto [end, error] = std::from_chars(first, last, value);
+    if (error == std::errc() && end == last) numbers.push_back(value);
+  }
+  std::sort(numbers.begin(), numbers.end());
+  numbers.erase(std::unique(numbers.begin(), numbers.end()), numbers.end());
+  return numbers;
+}
+
 void EncodeInterner(BinaryWriter* writer) {
   Interner& interner = Interner::Global();
   const Interner::Pool pools[] = {Interner::Pool::kConstant,
@@ -397,9 +422,9 @@ SnapshotStatus DecodeInterner(BinaryReader* reader) {
       }
       int32_t arity = 0;
       if (pool == Interner::Pool::kPredicate &&
-          !reader->ReadI32(&arity)) {
+          (!reader->ReadI32(&arity) || arity < 0)) {
         return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                    "predicate arity cut short");
+                                    "predicate arity cut short or negative");
       }
       uint32_t got;
       if (pool == Interner::Pool::kPredicate) {
@@ -472,14 +497,15 @@ SnapshotStatus DecodeAtomVector(BinaryReader* reader,
               std::string(predicates::Name(pred)) + "/" +
               std::to_string(predicates::Arity(pred)) + "'");
     }
+    if (uint64_t{arity} * sizeof(uint32_t) > reader->remaining()) {
+      return SnapshotStatus::Fail(SnapshotError::kFormatError,
+                                  "fact arguments cut short");
+    }
     std::vector<Term> args;
     args.reserve(arity);
     for (uint32_t a = 0; a < arity; ++a) {
       uint32_t bits = 0;
-      if (!reader->ReadU32(&bits)) {
-        return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                    "fact argument cut short");
-      }
+      reader->ReadU32(&bits);
       Term t = Term::FromBits(bits);
       if (t.IsVariable()) {
         return SnapshotStatus::Fail(SnapshotError::kFormatError,

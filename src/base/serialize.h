@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/instance.h"
 
@@ -171,6 +172,15 @@ SnapshotStatus WriteFileAtomic(const std::string& path,
 /// fsyncs the directory containing `path` (or `path` itself when it is a
 /// directory), making previously renamed/created entries durable.
 SnapshotStatus FsyncParentDir(const std::string& path);
+
+/// The numbers N of the files `<prefix>N<suffix>` in `dir` (N all
+/// decimal digits, leading zeros allowed, at most 2^64-1), ascending and
+/// deduplicated.
+/// Anything else in the directory, including WriteFileAtomic's
+/// temporary files, is ignored; a missing directory lists nothing.
+std::vector<uint64_t> ListNumberedFiles(const std::string& dir,
+                                        std::string_view prefix,
+                                        std::string_view suffix);
 
 /// Test-only write fault injection for WriteFileAtomic: after
 /// `fail_after_bytes` have been written the next write fails with `error`

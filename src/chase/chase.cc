@@ -188,16 +188,12 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
 
   // Checkpoint tracking: `boundary` mirrors the state at the most recent
   // round boundary, maintained incrementally (append-only facts and
-  // fired keys; carried is replaced). A guard-rail trip mid-round leaves
-  // `boundary` untouched, so the final snapshot delivered on a trip is
-  // always the last *consistent* state — rounds stay transactional on
-  // disk just as they are in memory.
+  // fired keys; carried is replaced), and every boundary is delivered
+  // before the next round starts. A guard-rail trip mid-round leaves the
+  // delivered boundary as the last *consistent* state — rounds stay
+  // transactional on disk just as they are in memory.
   ChaseCheckpointSink* sink = options.checkpoint_sink;
   const bool tracking = sink != nullptr;
-  const uint64_t checkpoint_every =
-      options.checkpoint_every < 1
-          ? 1
-          : static_cast<uint64_t>(options.checkpoint_every);
   ChaseCheckpointState boundary;
   // Fired keys in firing order (tracking or witness collection) and,
   // when collecting, the parallel per-step null draws.
@@ -254,20 +250,12 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     boundary.next_null_id = Term::NextNullId();
     boundary.complete = result.complete;
   };
-  // Delivers the last consistent boundary once when the run ends.
-  auto final_checkpoint = [&]() {
-    if (!tracking) return;
-    if (delivered == boundary.rounds_completed && !boundary.complete) return;
-    sink->Write(boundary, /*final_write=*/true);
-    delivered = boundary.rounds_completed;
-  };
 
   for (;;) {
     if (tracking) {
       sync_boundary();
-      if (result.rounds_completed % checkpoint_every == 0 &&
-          delivered != result.rounds_completed) {
-        sink->Write(boundary, /*final_write=*/false);
+      if (delivered != result.rounds_completed) {
+        sink->Write(boundary);
         delivered = result.rounds_completed;
       }
     }
@@ -275,7 +263,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     // injector. One checkpoint per round, deterministically placed.
     if (governor->Check() != Status::kCompleted) {
       result.complete = false;
-      final_checkpoint();
       break;
     }
     std::vector<PendingTrigger> pending = std::move(carried);
@@ -392,7 +379,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       stats.merge_ms = MsSince(merge_start);
       result.round_stats.push_back(stats);
       result.complete = false;
-      final_checkpoint();
       break;
     }
     if (pending.empty()) {
@@ -404,7 +390,7 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         // yields the saturated chase with no further work (OMQ
         // evaluation resumes from it instead of re-chasing).
         sync_boundary();
-        final_checkpoint();
+        sink->Write(boundary);
       }
       break;
     }
@@ -419,7 +405,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       stats.merge_ms = MsSince(merge_start);
       result.round_stats.push_back(stats);
       result.complete = false;
-      final_checkpoint();
       break;
     }
     // Fire phase (sequential, deterministic). Insertions are staged and
@@ -533,7 +518,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       stats.merge_ms = MsSince(merge_start);
       result.round_stats.push_back(stats);
       result.complete = false;
-      final_checkpoint();
       break;
     }
     commit_staged();
@@ -549,7 +533,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       // so the derivation log is sound but no longer exact.
       witness_exact = false;
       result.complete = false;
-      final_checkpoint();
       break;
     }
     ++result.rounds_completed;

@@ -71,12 +71,11 @@ class ChaseCheckpointSink {
  public:
   virtual ~ChaseCheckpointSink() = default;
 
-  /// Called with the committed boundary state every
-  /// ChaseOptions::checkpoint_every rounds, and once more (`final_write`
-  /// true) when the run stops — fixpoint, guard rail or budget. Work
-  /// performed after the last delivered boundary is not covered: that is
-  /// the time-lost-vs-granularity trade documented in EXPERIMENTS.md.
-  virtual void Write(const ChaseCheckpointState& state, bool final_write) = 0;
+  /// Called with the committed state at every round boundary, and once
+  /// more when the run reaches its fixpoint (the same generation, now
+  /// marked complete). A run stopped by a guard rail or budget mid-round
+  /// loses only that round: its last boundary was already delivered.
+  virtual void Write(const ChaseCheckpointState& state) = 0;
 };
 
 /// One unit of trigger-discovery work: the sequential discovery loop,
@@ -176,15 +175,11 @@ struct ChaseOptions {
   /// reference semantics is the *oblivious* chase (false).
   bool restricted = false;
 
-  /// When set, the engine delivers round-boundary state snapshots to
-  /// this sink every `checkpoint_every` rounds plus a final one when the
-  /// run stops; the sink owns persistence. Null disables checkpointing
-  /// (no tracking overhead is paid).
+  /// When set, the engine delivers every round-boundary state snapshot
+  /// to this sink (see ChaseCheckpointSink::Write); the sink owns
+  /// persistence. Null disables checkpointing (no tracking overhead is
+  /// paid).
   ChaseCheckpointSink* checkpoint_sink = nullptr;
-
-  /// Rounds between snapshot deliveries (1 = every round boundary).
-  /// Values < 1 behave as 1.
-  int checkpoint_every = 1;
 
   /// When set, the engine delegates each round's trigger discovery to
   /// this hook (see ChaseDiscoveryHook) instead of running the units

@@ -1,7 +1,5 @@
 #include "chase/checkpoint.h"
 
-#include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -11,7 +9,6 @@ namespace gqe {
 
 namespace {
 
-constexpr std::string_view kManifestName = "MANIFEST";
 constexpr std::string_view kSnapshotPrefix = "chase-";
 constexpr std::string_view kSnapshotSuffix = ".snap";
 
@@ -189,8 +186,8 @@ SnapshotStatus DecodeChaseSnapshot(std::string_view payload,
 uint32_t ChaseWorkloadFingerprint(const Instance& db, const TgdSet& tgds,
                                   const ChaseOptions& options) {
   // Only the inputs that determine the chase *output* participate:
-  // budgets and checkpoint cadence may differ between the checkpointed
-  // run and the resuming run.
+  // budgets may differ between the checkpointed run and the resuming
+  // run.
   BinaryWriter writer;
   EncodeInstance(db, &writer);
   writer.WriteString(TgdSetToString(tgds));
@@ -202,9 +199,7 @@ uint32_t ChaseWorkloadFingerprint(const Instance& db, const TgdSet& tgds,
   return Crc32(writer.buffer());
 }
 
-CheckpointDir::CheckpointDir(std::string dir, CheckpointDirOptions options)
-    : dir_(std::move(dir)), options_(options) {
-  if (options_.keep_generations < 2) options_.keep_generations = 2;
+CheckpointDir::CheckpointDir(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   // A failure here surfaces as kIoError on the first Save.
@@ -216,110 +211,34 @@ std::string CheckpointDir::GenerationPath(uint64_t generation) const {
 }
 
 std::vector<uint64_t> CheckpointDir::Generations() const {
-  std::vector<uint64_t> generations;
-  std::string manifest;
-  bool manifest_ok = false;
-  if (ReadFileBytes(dir_ + "/" + std::string(kManifestName), &manifest).ok()) {
-    manifest_ok = true;
-    size_t pos = 0;
-    while (pos < manifest.size()) {
-      size_t end = manifest.find('\n', pos);
-      if (end == std::string::npos) end = manifest.size();
-      std::string_view line(manifest.data() + pos, end - pos);
-      pos = end + 1;
-      if (line.empty()) continue;
-      uint64_t value = 0;
-      bool numeric = true;
-      for (char c : line) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          numeric = false;
-          break;
-        }
-        value = value * 10 + static_cast<uint64_t>(c - '0');
-      }
-      if (!numeric) {
-        // Damaged manifest: distrust it wholesale and scan instead.
-        manifest_ok = false;
-        generations.clear();
-        break;
-      }
-      generations.push_back(value);
-    }
-  }
-  if (!manifest_ok) {
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(dir_, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.size() <= kSnapshotPrefix.size() + kSnapshotSuffix.size() ||
-          name.compare(0, kSnapshotPrefix.size(), kSnapshotPrefix) != 0 ||
-          name.compare(name.size() - kSnapshotSuffix.size(),
-                       kSnapshotSuffix.size(), kSnapshotSuffix) != 0) {
-        continue;
-      }
-      std::string_view digits(name.data() + kSnapshotPrefix.size(),
-                              name.size() - kSnapshotPrefix.size() -
-                                  kSnapshotSuffix.size());
-      uint64_t value = 0;
-      bool numeric = !digits.empty();
-      for (char c : digits) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          numeric = false;
-          break;
-        }
-        value = value * 10 + static_cast<uint64_t>(c - '0');
-      }
-      if (numeric) generations.push_back(value);
-    }
-  }
-  std::sort(generations.begin(), generations.end());
-  generations.erase(std::unique(generations.begin(), generations.end()),
-                    generations.end());
-  return generations;
-}
-
-SnapshotStatus CheckpointDir::WriteManifest(
-    const std::vector<uint64_t>& generations) {
-  std::string body;
-  for (uint64_t generation : generations) {
-    body += std::to_string(generation);
-    body += '\n';
-  }
-  return WriteFileAtomic(dir_ + "/" + std::string(kManifestName), body);
+  return ListNumberedFiles(dir_, kSnapshotPrefix, kSnapshotSuffix);
 }
 
 SnapshotStatus CheckpointDir::Save(const ChaseCheckpointState& state,
                                    uint32_t fingerprint) {
-  const std::string bytes = WrapSnapshot(
-      kSnapshotKindChase, EncodeChaseSnapshot(state, fingerprint));
-  SnapshotStatus status =
-      WriteFileAtomic(GenerationPath(state.rounds_completed), bytes);
-  if (!status.ok()) return status;
-
+  const uint64_t saved = state.rounds_completed;
   std::vector<uint64_t> generations = Generations();
-  generations.push_back(state.rounds_completed);
-  std::sort(generations.begin(), generations.end());
-  generations.erase(std::unique(generations.begin(), generations.end()),
-                    generations.end());
-  std::vector<uint64_t> pruned;
-  const size_t keep = static_cast<size_t>(options_.keep_generations);
-  while (generations.size() > keep) {
-    pruned.push_back(generations.front());
-    generations.erase(generations.begin());
+  std::error_code ec;
+  while (!generations.empty() && generations.back() > saved) {
+    std::filesystem::remove(GenerationPath(generations.back()), ec);
+    generations.pop_back();
   }
-  status = WriteManifest(generations);
+  SnapshotStatus status = WriteFileAtomic(
+      GenerationPath(saved),
+      WrapSnapshot(kSnapshotKindChase,
+                   EncodeChaseSnapshot(state, fingerprint)));
   if (!status.ok()) return status;
-  // Remove pruned files only after the manifest stopped referencing them:
-  // a crash in between leaves stale files, never dangling manifest rows.
-  for (uint64_t generation : pruned) {
-    std::error_code ec;
-    std::filesystem::remove(GenerationPath(generation), ec);
+  if (generations.empty() || generations.back() != saved) {
+    generations.push_back(saved);
+  }
+  for (size_t i = 0; i + kKeepGenerations < generations.size(); ++i) {
+    std::filesystem::remove(GenerationPath(generations[i]), ec);
   }
   return SnapshotStatus::Ok();
 }
 
 SnapshotStatus CheckpointDir::LoadLatest(ChaseCheckpointState* state,
-                                         uint32_t* fingerprint,
+                                         uint32_t fingerprint,
                                          uint64_t* generation, int* skipped) {
   if (skipped != nullptr) *skipped = 0;
   const std::vector<uint64_t> generations = Generations();
@@ -333,8 +252,19 @@ SnapshotStatus CheckpointDir::LoadLatest(ChaseCheckpointState* state,
     if (status.ok()) {
       status = UnwrapSnapshot(bytes, kSnapshotKindChase, &payload);
     }
+    // The fingerprint leads the payload: compare it before
+    // DecodeChaseSnapshot replays the interner section.
+    uint32_t stored = 0;
+    if (status.ok() && BinaryReader(payload).ReadU32(&stored) &&
+        stored != fingerprint) {
+      return SnapshotStatus::Fail(
+          SnapshotError::kFormatError,
+          "'" + dir_ + "' holds snapshots of a different workload " +
+              "(fingerprint " + std::to_string(stored) + ", expected " +
+              std::to_string(fingerprint) + ")");
+    }
     if (status.ok()) {
-      status = DecodeChaseSnapshot(payload, state, fingerprint);
+      status = DecodeChaseSnapshot(payload, state, nullptr);
     }
     if (status.ok()) {
       if (generation != nullptr) *generation = *it;
@@ -348,13 +278,10 @@ SnapshotStatus CheckpointDir::LoadLatest(ChaseCheckpointState* state,
 }
 
 DirectoryCheckpointSink::DirectoryCheckpointSink(std::string dir,
-                                                uint32_t fingerprint,
-                                                CheckpointDirOptions options)
-    : dir_(std::move(dir), options), fingerprint_(fingerprint) {}
+                                                uint32_t fingerprint)
+    : dir_(std::move(dir)), fingerprint_(fingerprint) {}
 
-void DirectoryCheckpointSink::Write(const ChaseCheckpointState& state,
-                                    bool final_write) {
-  (void)final_write;
+void DirectoryCheckpointSink::Write(const ChaseCheckpointState& state) {
   last_status_ = dir_.Save(state, fingerprint_);
   ++writes_;
   if (!last_status_.ok()) ++failed_writes_;
@@ -371,26 +298,16 @@ ChaseResult ResumeChase(const std::string& checkpoint_dir, const Instance& db,
   CheckpointDir dir(checkpoint_dir);
 
   ChaseCheckpointState state;
-  uint32_t stored_fingerprint = 0;
   uint64_t generation = 0;
   int skipped = 0;
-  SnapshotStatus load =
-      dir.LoadLatest(&state, &stored_fingerprint, &generation, &skipped);
-  if (load.ok() && stored_fingerprint != fingerprint) {
-    load = SnapshotStatus::Fail(
-        SnapshotError::kFormatError,
-        "'" + checkpoint_dir +
-            "' holds snapshots of a different workload (fingerprint " +
-            std::to_string(stored_fingerprint) + ", expected " +
-            std::to_string(fingerprint) + "); starting fresh");
-  }
+  const SnapshotStatus load =
+      dir.LoadLatest(&state, fingerprint, &generation, &skipped);
   out->load_status = load;
   out->skipped_generations = skipped;
 
   DirectoryCheckpointSink sink(checkpoint_dir, fingerprint);
   ChaseOptions run_options = options;
   run_options.checkpoint_sink = &sink;
-  if (run_options.checkpoint_every < 1) run_options.checkpoint_every = 1;
 
   if (load.ok()) {
     out->resumed = true;

@@ -33,63 +33,57 @@ SnapshotStatus DecodeChaseSnapshot(std::string_view payload,
 uint32_t ChaseWorkloadFingerprint(const Instance& db, const TgdSet& tgds,
                                   const ChaseOptions& options);
 
-/// Retention/layout knobs for a checkpoint directory.
-struct CheckpointDirOptions {
-  /// Snapshot generations kept on disk. Older generations beyond this
-  /// many are pruned after each successful save. Must be >= 2 so a crash
-  /// during a save (or a corrupted latest file) always leaves a previous
-  /// good generation to fall back to; smaller values behave as 2.
-  int keep_generations = 3;
-};
-
-/// A directory of chase snapshot generations:
+/// A directory of chase snapshot generations, one file per generation:
 ///
-///   <dir>/chase-<rounds_completed>.snap   one file per generation
-///   <dir>/MANIFEST                        generation numbers, ascending
+///   <dir>/chase-<rounds_completed>.snap
 ///
-/// Every file is written via tmp-file + fsync + rename + directory fsync
-/// (WriteFileAtomic), so readers never observe a torn snapshot and the
-/// renamed generation / MANIFEST survive power loss, not just process
-/// death: a crash at any point leaves
-/// the directory with the previous consistent contents. LoadLatest walks
-/// generations newest-first and falls back past files that fail the
-/// envelope checksum or decode, so one corrupted snapshot costs one
-/// generation of progress, not the run.
+/// The directory listing is the only index. Every file is written via
+/// tmp-file + fsync + rename + directory fsync (WriteFileAtomic), so
+/// readers never observe a torn snapshot and a renamed generation
+/// survives power loss, not just process death: a crash at any point
+/// leaves the directory with the previous consistent contents.
+/// LoadLatest walks generations newest-first and falls back past files
+/// that fail the envelope checksum or decode, so one corrupted snapshot
+/// costs one generation of progress, not the run.
 class CheckpointDir {
  public:
-  explicit CheckpointDir(std::string dir, CheckpointDirOptions options = {});
+  /// Generations kept on disk after each save. At least 2, so a crash
+  /// during a save (or a corrupted latest file) always leaves a previous
+  /// good generation to fall back to.
+  static constexpr size_t kKeepGenerations = 3;
+
+  explicit CheckpointDir(std::string dir);
 
   const std::string& dir() const { return dir_; }
 
-  /// Persists `state` as generation `state.rounds_completed`, updates the
-  /// manifest and prunes generations beyond keep_generations.
+  /// Persists `state` as generation g = `state.rounds_completed`. Every
+  /// generation newer than g is deleted first: rounds only grow within
+  /// a run, so such a file was left by another run (or is a corrupt one
+  /// this run resumed past) and would otherwise shadow g. After the
+  /// write only the newest kKeepGenerations up to g stay.
   SnapshotStatus Save(const ChaseCheckpointState& state,
                       uint32_t fingerprint);
 
-  /// Loads the newest generation that unwraps and decodes cleanly.
-  /// `generation` receives its number and `skipped` how many newer
-  /// generations were rejected as corrupt on the way (0 = the latest was
-  /// good). kNotFound when the directory holds no usable snapshot; the
-  /// last rejection reason is reported when all candidates fail.
-  SnapshotStatus LoadLatest(ChaseCheckpointState* state,
-                            uint32_t* fingerprint,
+  /// Loads the newest generation of the workload `fingerprint` that
+  /// unwraps and decodes cleanly. `generation` receives its number and
+  /// `skipped` how many newer generations were rejected as corrupt on
+  /// the way (0 = the latest was good). kNotFound when the directory
+  /// holds no usable snapshot; the last rejection reason is reported
+  /// when all candidates fail. A generation of another workload ends the
+  /// walk with kFormatError before its interner section is replayed, so
+  /// a foreign snapshot never interns names into this process.
+  SnapshotStatus LoadLatest(ChaseCheckpointState* state, uint32_t fingerprint,
                             uint64_t* generation = nullptr,
                             int* skipped = nullptr);
 
-  /// Generations with a snapshot file present, ascending. Prefers the
-  /// manifest; falls back to a directory scan when the manifest is
-  /// missing or damaged (the manifest is an optimisation, not a single
-  /// point of failure).
+  /// Generations with a snapshot file present, ascending.
   std::vector<uint64_t> Generations() const;
 
   /// Path of a generation's snapshot file.
   std::string GenerationPath(uint64_t generation) const;
 
  private:
-  SnapshotStatus WriteManifest(const std::vector<uint64_t>& generations);
-
   std::string dir_;
-  CheckpointDirOptions options_;
 };
 
 /// ChaseCheckpointSink that persists every delivered boundary to a
@@ -98,10 +92,9 @@ class CheckpointDir {
 /// the computation.
 class DirectoryCheckpointSink : public ChaseCheckpointSink {
  public:
-  DirectoryCheckpointSink(std::string dir, uint32_t fingerprint,
-                          CheckpointDirOptions options = {});
+  DirectoryCheckpointSink(std::string dir, uint32_t fingerprint);
 
-  void Write(const ChaseCheckpointState& state, bool final_write) override;
+  void Write(const ChaseCheckpointState& state) override;
 
   const SnapshotStatus& last_status() const { return last_status_; }
   size_t writes() const { return writes_; }
@@ -135,11 +128,10 @@ struct ResumeInfo {
 /// Crash-safe chase entry point. Looks for a usable snapshot of this
 /// exact workload (db + tgds + semantics-relevant options) in
 /// `checkpoint_dir`; resumes from the newest good generation, or starts
-/// fresh when none is usable. Either way new round-boundary snapshots are
-/// written to the directory (every options.checkpoint_every rounds), so
-/// the run can itself be killed and resumed. The final instance is
-/// bit-identical to an uninterrupted Chase(db, tgds, options), wherever
-/// the previous run was killed.
+/// fresh when none is usable. Either way every new round boundary is
+/// written to the directory, so the run can itself be killed and
+/// resumed. The final instance is bit-identical to an uninterrupted
+/// Chase(db, tgds, options), wherever the previous run was killed.
 ChaseResult ResumeChase(const std::string& checkpoint_dir, const Instance& db,
                         const TgdSet& tgds, const ChaseOptions& options = {},
                         ResumeInfo* info = nullptr);

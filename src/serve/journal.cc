@@ -7,7 +7,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -246,30 +245,8 @@ SnapshotStatus RequestJournal::Open(const std::string& dir,
   // Segments replay in ascending sequence order; only the last (active)
   // one may legitimately end in a torn record, because rotation fsyncs a
   // segment before opening its successor.
-  std::vector<uint64_t> seqs;
-  for (const auto& dirent : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = dirent.path().filename().string();
-    if (name.rfind(kSegmentPrefix, 0) != 0 ||
-        name.size() <= strlen(kSegmentPrefix) + strlen(kSegmentSuffix) ||
-        name.compare(name.size() - strlen(kSegmentSuffix),
-                     strlen(kSegmentSuffix), kSegmentSuffix) != 0) {
-      continue;
-    }
-    const std::string digits = name.substr(
-        strlen(kSegmentPrefix),
-        name.size() - strlen(kSegmentPrefix) - strlen(kSegmentSuffix));
-    uint64_t seq = 0;
-    bool numeric = !digits.empty();
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (numeric) seqs.push_back(seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
+  const std::vector<uint64_t> seqs =
+      ListNumberedFiles(dir_, kSegmentPrefix, kSegmentSuffix);
 
   JournalRecovery local;
   JournalRecovery* rec = recovery != nullptr ? recovery : &local;

@@ -128,7 +128,6 @@ int EvaluateRequest(const WorkerInvocation& invocation,
     ChaseOptions options;
     options.governor = governor;
     options.max_level = request.max_level;
-    options.checkpoint_every = 1;
     options.collect_witness = invocation.collect_witness;
     ResumeInfo info;
     ChaseResult chase;

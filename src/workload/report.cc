@@ -101,32 +101,23 @@ ExecutionBudget ParseBudgetFlags(int* argc, char** argv) {
   return budget;
 }
 
-CheckpointFlags ParseCheckpointFlags(int* argc, char** argv) {
-  CheckpointFlags flags;
+std::string ParseCheckpointDir(int* argc, char** argv) {
+  std::string dir;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-      flags.dir = arg.substr(17);
+      dir = arg.substr(17);
       continue;
     }
     if (arg == "--checkpoint-dir" && i + 1 < *argc) {
-      flags.dir = argv[++i];
-      continue;
-    }
-    if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      flags.every = std::atoi(arg.c_str() + 19);
-      continue;
-    }
-    if (arg == "--checkpoint-every" && i + 1 < *argc) {
-      flags.every = std::atoi(argv[++i]);
+      dir = argv[++i];
       continue;
     }
     argv[out++] = argv[i];
   }
   *argc = out;
-  if (flags.every < 1) flags.every = 1;
-  return flags;
+  return dir;
 }
 
 namespace {

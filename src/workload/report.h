@@ -55,18 +55,11 @@ const char* VerifyOutcomeName(VerifyOutcome outcome);
 /// run under one budget.
 ExecutionBudget ParseBudgetFlags(int* argc, char** argv);
 
-/// `--checkpoint-dir=PATH` / `--checkpoint-every=N` bench flags. An
-/// empty dir means checkpointing is off (the default); `every` is the
-/// round granularity passed to ChaseOptions::checkpoint_every.
-struct CheckpointFlags {
-  std::string dir;
-  int every = 1;
-
-  bool enabled() const { return !dir.empty(); }
-};
-
-/// Parses and strips the checkpoint flags from argv.
-CheckpointFlags ParseCheckpointFlags(int* argc, char** argv);
+/// Parses and strips the `--checkpoint-dir=PATH` / `--checkpoint-dir
+/// PATH` bench flag from argv and returns PATH. Empty means
+/// checkpointing is off (the default); otherwise every round boundary
+/// is checkpointed there.
+std::string ParseCheckpointDir(int* argc, char** argv);
 
 /// Routes SIGINT/SIGTERM to the token's cancellation flag. The installed
 /// handler is strictly async-signal-safe: it sets a volatile

@@ -302,7 +302,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaseWitnessOracle, ::testing::Range(0, 20));
 
 struct RecordingSink : ChaseCheckpointSink {
   std::vector<ChaseCheckpointState> states;
-  void Write(const ChaseCheckpointState& state, bool) override {
+  void Write(const ChaseCheckpointState& state) override {
     states.push_back(state);
   }
 };

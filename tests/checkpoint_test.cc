@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "base/interner.h"
 #include "base/serialize.h"
 #include "chase/chase.h"
 #include "chase/checkpoint.h"
@@ -75,7 +76,7 @@ void ExpectBitIdentical(const ChaseResult& got, const ChaseResult& want,
 /// In-memory sink recording every delivered boundary.
 struct CollectingSink : ChaseCheckpointSink {
   std::vector<ChaseCheckpointState> states;
-  void Write(const ChaseCheckpointState& state, bool) override {
+  void Write(const ChaseCheckpointState& state) override {
     states.push_back(state);
   }
 };
@@ -201,11 +202,11 @@ TEST(CheckpointTest, CorruptionIsRejectedWithDistinctStatus) {
   // ...and recovery silently falls back to the previous good generation,
   // still reproducing the bit-identical final instance.
   ChaseCheckpointState state;
-  uint32_t fingerprint = 0;
   uint64_t generation = 0;
   int skipped = 0;
   ASSERT_TRUE(checkpoints
-                  .LoadLatest(&state, &fingerprint, &generation, &skipped)
+                  .LoadLatest(&state, ChaseWorkloadFingerprint(db, sigma, {}),
+                              &generation, &skipped)
                   .ok());
   EXPECT_EQ(skipped, 1);
   EXPECT_EQ(generation, generations[generations.size() - 2]);
@@ -293,6 +294,137 @@ TEST(CheckpointTest, ForeignWorkloadIsNotResumed) {
   EXPECT_FALSE(info.resumed);
   EXPECT_EQ(info.load_status.error, SnapshotError::kFormatError);
   EXPECT_TRUE(fresh.complete);
+
+  std::filesystem::remove_all(dir);
+  Term::SetNextNullId(null_base);
+}
+
+/// Names of every entry in `dir`.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  return names;
+}
+
+TEST(CheckpointTest, AnotherRunsGenerationsNeverShadowThisRuns) {
+  // Run A chases a 64-chain to its fixpoint and leaves its newest
+  // generations; run B, a different workload with fewer rounds, then
+  // uses the same directory and is cancelled early. B's generations are
+  // all older than A's, yet B's resume must find them: B's first save
+  // deletes A's newer generations instead of pruning its own.
+  const TgdSet sigma = CkSigma();
+  Instance db_a;
+  for (int i = 0; i < 64; ++i) {
+    db_a.Insert(Atom::Make("cke",
+                           {Term::Constant("cka" + std::to_string(i)),
+                            Term::Constant("cka" + std::to_string(i + 1))}));
+  }
+  const Instance db_b = CkDb();
+  const uint32_t null_base = Term::NextNullId();
+  const std::string dir = FreshDir("other_run");
+
+  Term::SetNextNullId(null_base);
+  ASSERT_TRUE(ResumeChase(dir, db_a, sigma).complete);
+  CheckpointDir checkpoints(dir);
+  const std::vector<uint64_t> a_generations = checkpoints.Generations();
+  ASSERT_EQ(a_generations.size(), CheckpointDir::kKeepGenerations);
+  // A finished run leaves its snapshots and nothing else.
+  for (const std::string& name : DirEntries(dir)) {
+    EXPECT_TRUE(name.starts_with("chase-") && name.ends_with(".snap"))
+        << name;
+  }
+
+  // The MANIFEST an older build kept beside A's snapshots: it goes
+  // stale below, and nothing may read it as an index.
+  std::FILE* manifest = std::fopen((dir + "/MANIFEST").c_str(), "w");
+  ASSERT_NE(manifest, nullptr);
+  for (uint64_t g : a_generations) {
+    std::fprintf(manifest, "%llu\n", static_cast<unsigned long long>(g));
+  }
+  std::fclose(manifest);
+
+  Term::SetNextNullId(null_base);
+  const ChaseResult reference = Chase(db_b, sigma);
+  ASSERT_TRUE(reference.complete);
+
+  Term::SetNextNullId(null_base);
+  // Cancelled at governor checkpoint 600: after B's second round.
+  TestFaultInjector injector(Status::kCancelled, 600);
+  ExecutionBudget budget;
+  budget.max_facts = 0;
+  Governor governor(budget, &injector);
+  ChaseOptions killed_options;
+  killed_options.governor = &governor;
+  const ChaseResult killed = ResumeChase(dir, db_b, sigma, killed_options);
+  ASSERT_FALSE(killed.complete);
+  const uint64_t b_round = killed.rounds_completed;
+  ASSERT_GE(b_round, 1u);
+  ASSERT_LT(b_round, a_generations.front());
+  ASSERT_FALSE(checkpoints.Generations().empty());
+  EXPECT_EQ(checkpoints.Generations().back(), b_round);
+
+  Term::SetNextNullId(null_base + 4242);
+  ResumeInfo info;
+  const ChaseResult resumed = ResumeChase(dir, db_b, sigma, {}, &info);
+  EXPECT_TRUE(info.resumed) << info.load_status.message;
+  EXPECT_EQ(info.generation, b_round);
+  ExpectBitIdentical(resumed, reference, "resume over another run's dir");
+  const std::vector<uint64_t> b_generations = checkpoints.Generations();
+  EXPECT_LE(b_generations.size(), CheckpointDir::kKeepGenerations);
+  EXPECT_EQ(b_generations.back(), resumed.rounds_completed);
+
+  std::filesystem::remove_all(dir);
+  Term::SetNextNullId(null_base);
+}
+
+TEST(CheckpointTest, ForeignFingerprintIsRejectedBeforeItsInterner) {
+  // A snapshot of another workload whose interner section names a
+  // constant this process never interned: the fingerprint mismatch is
+  // what gets reported, and the foreign name is never interned.
+  const Instance db = CkDb();
+  const TgdSet sigma = CkSigma();
+  const uint32_t null_base = Term::NextNullId();
+  const std::string dir = FreshDir("foreign_interner");
+  const uint32_t fingerprint = ChaseWorkloadFingerprint(db, sigma, {});
+
+  std::string payload = EncodeChaseSnapshot(ChaseCheckpointState{},
+                                            fingerprint ^ 1u);
+  // Payload: u32 fingerprint, u64 constant count, then the first
+  // constant's name as u64 length + bytes.
+  BinaryReader reader(payload);
+  uint32_t stored = 0;
+  uint64_t constants = 0;
+  std::string first;
+  ASSERT_TRUE(reader.ReadU32(&stored) && reader.ReadU64(&constants) &&
+              reader.ReadString(&first));
+  ASSERT_FALSE(first.empty());
+  payload.replace(4 + 8 + 8, first.size(), std::string(first.size(), '\x7f'));
+  CheckpointDir checkpoints(dir);
+  ASSERT_TRUE(WriteFileAtomic(checkpoints.GenerationPath(99),
+                              WrapSnapshot(kSnapshotKindChase, payload))
+                  .ok());
+
+  Interner& interner = Interner::Global();
+  const size_t before = interner.PoolSize(Interner::Pool::kConstant);
+  ChaseCheckpointState state;
+  EXPECT_EQ(checkpoints
+                .LoadLatest(&state, fingerprint)
+                .error,
+            SnapshotError::kFormatError);
+  EXPECT_EQ(interner.PoolSize(Interner::Pool::kConstant), before);
+
+  Term::SetNextNullId(null_base);
+  ResumeInfo info;
+  EXPECT_TRUE(ResumeChase(dir, db, sigma, {}, &info).complete);
+  EXPECT_FALSE(info.resumed);
+  EXPECT_EQ(info.load_status.error, SnapshotError::kFormatError)
+      << info.load_status.message;
+  EXPECT_EQ(interner.PoolSize(Interner::Pool::kConstant), before);
+  // The run's first save deleted the newer foreign generation.
+  ASSERT_FALSE(checkpoints.Generations().empty());
+  EXPECT_LT(checkpoints.Generations().back(), 99u);
 
   std::filesystem::remove_all(dir);
   Term::SetNextNullId(null_base);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "base/interner.h"
 #include "base/serialize.h"
 #include "chase/chase.h"
 #include "chase/checkpoint.h"
@@ -130,6 +131,91 @@ TEST(SerializeTest, FileRoundTripAndMissingFile) {
   EXPECT_EQ(back, bytes);
   std::remove(path.c_str());
   EXPECT_EQ(ReadFileBytes(path, &back).error, SnapshotError::kNotFound);
+}
+
+TEST(SerializeTest, ListNumberedFilesKeepsOnlyNumberedNames) {
+  const std::string dir = ::testing::TempDir() + "serialize_numbered";
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(ListNumberedFiles(dir, "gen-", ".snap").empty());
+  std::filesystem::create_directories(dir);
+  for (const char* name :
+       {"gen-12.snap", "gen-3.snap", "gen-003.snap", "gen-.snap",
+        "gen-4x.snap", "gen-5.snap.tmp.77", "gen-+6.snap", "other-7.snap",
+        "gen-99999999999999999999.snap", "MANIFEST"}) {
+    ASSERT_TRUE(WriteFileAtomic(dir + "/" + name, "x").ok()) << name;
+  }
+  EXPECT_EQ(ListNumberedFiles(dir, "gen-", ".snap"),
+            (std::vector<uint64_t>{3, 12}));
+  std::filesystem::remove_all(dir);
+}
+
+/// This process's interner section, as EncodeInterner writes it, with
+/// one more predicate `name`/`arity` appended to the predicate pool.
+std::string InternerSectionWithPredicate(std::string_view name,
+                                         int32_t arity) {
+  BinaryWriter real;
+  EncodeInterner(&real);
+  const std::string& bytes = real.buffer();
+  // Constants and variables (u64 count, then names), the predicates
+  // (u64 count, then name and i32 arity each), then the u64 fresh
+  // counter.
+  BinaryReader reader(bytes);
+  for (int pool = 0; pool < 2; ++pool) {
+    uint64_t n = 0;
+    std::string skipped;
+    EXPECT_TRUE(reader.ReadU64(&n));
+    for (uint64_t i = 0; i < n; ++i) EXPECT_TRUE(reader.ReadString(&skipped));
+  }
+  const size_t count_at = bytes.size() - reader.remaining();
+  uint64_t predicates = 0;
+  EXPECT_TRUE(reader.ReadU64(&predicates));
+  BinaryWriter count;
+  count.WriteU64(predicates + 1);
+  BinaryWriter extra;
+  extra.WriteString(name);
+  extra.WriteI32(arity);
+  const size_t pool_at = count_at + sizeof(uint64_t);
+  const size_t fresh_at = bytes.size() - sizeof(uint64_t);
+  return bytes.substr(0, count_at) + count.buffer() +
+         bytes.substr(pool_at, fresh_at - pool_at) + extra.buffer() +
+         bytes.substr(fresh_at);
+}
+
+TEST(SerializeTest, NegativePredicateArityIsRejectedUninterned) {
+  const size_t before =
+      Interner::Global().PoolSize(Interner::Pool::kPredicate);
+  const std::string section = InternerSectionWithPredicate("sneg", -1);
+  BinaryReader reader(section);
+  const SnapshotStatus status = DecodeInterner(&reader);
+  EXPECT_EQ(status.error, SnapshotError::kFormatError);
+  EXPECT_NE(status.message.find("cut short or negative"), std::string::npos)
+      << status.message;
+  EXPECT_EQ(Interner::Global().PoolSize(Interner::Pool::kPredicate), before);
+  EXPECT_EQ(predicates::Lookup("sneg"), static_cast<PredicateId>(-1));
+}
+
+TEST(SerializeTest, FactArityIsBoundedByTheBytesLeft) {
+  // An interner section may name a predicate of arity 2^31-1, but no
+  // fact of it fits in the bytes that follow: the decoder must refuse
+  // before it reserves room for that many arguments.
+  constexpr int32_t kWide = 0x7fffffff;
+  const std::string section = InternerSectionWithPredicate("swide", kWide);
+  BinaryReader interner_reader(section);
+  ASSERT_TRUE(DecodeInterner(&interner_reader).ok());
+  const PredicateId wide = predicates::Lookup("swide");
+  ASSERT_EQ(predicates::Arity(wide), kWide);
+
+  BinaryWriter facts;
+  facts.WriteU64(1);
+  facts.WriteU32(wide);
+  facts.WriteU32(static_cast<uint32_t>(kWide));
+  BinaryReader reader(facts.buffer());
+  std::vector<Atom> atoms;
+  const SnapshotStatus status = DecodeAtomVector(&reader, &atoms);
+  EXPECT_EQ(status.error, SnapshotError::kFormatError);
+  EXPECT_NE(status.message.find("fact arguments cut short"), std::string::npos)
+      << status.message;
+  EXPECT_TRUE(atoms.empty());
 }
 
 TEST(SerializeTest, InstanceRoundTripWithNulls) {
@@ -340,13 +426,12 @@ TEST(SerializeTest, CheckpointSaveFaultKeepsPreviousGeneration) {
 
   struct CollectingSink : ChaseCheckpointSink {
     std::vector<ChaseCheckpointState> states;
-    void Write(const ChaseCheckpointState& state, bool) override {
+    void Write(const ChaseCheckpointState& state) override {
       states.push_back(state);
     }
   } sink;
   ChaseOptions options;
   options.checkpoint_sink = &sink;
-  options.checkpoint_every = 1;
   Chase(db, sigma, options);
   ASSERT_GE(sink.states.size(), 2u);
   const uint32_t fingerprint = ChaseWorkloadFingerprint(db, sigma, options);
@@ -368,18 +453,14 @@ TEST(SerializeTest, CheckpointSaveFaultKeepsPreviousGeneration) {
   }
 
   ChaseCheckpointState loaded;
-  uint32_t loaded_fingerprint = 0;
   uint64_t generation = 0;
-  ASSERT_TRUE(
-      checkpoints.LoadLatest(&loaded, &loaded_fingerprint, &generation).ok());
+  ASSERT_TRUE(checkpoints.LoadLatest(&loaded, fingerprint, &generation).ok());
   EXPECT_EQ(generation, sink.states[0].rounds_completed);
-  EXPECT_EQ(loaded_fingerprint, fingerprint);
   EXPECT_EQ(loaded.rounds_completed, sink.states[0].rounds_completed);
 
   // With space back, the interrupted generation saves and wins.
   ASSERT_TRUE(checkpoints.Save(sink.states[1], fingerprint).ok());
-  ASSERT_TRUE(
-      checkpoints.LoadLatest(&loaded, &loaded_fingerprint, &generation).ok());
+  ASSERT_TRUE(checkpoints.LoadLatest(&loaded, fingerprint, &generation).ok());
   EXPECT_EQ(generation, sink.states[1].rounds_completed);
   std::filesystem::remove_all(dir);
 }

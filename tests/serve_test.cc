@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "chase/checkpoint.h"
 #include "parser/parser.h"
 #include "serve/request.h"
 #include "serve/service.h"
@@ -289,6 +290,104 @@ TEST(ServeWorkerTest, PreparsedProgramMatchesPathBasedRun) {
         << invocation.request.id;
     EXPECT_EQ(preparsed.facts, from_path.facts) << invocation.request.id;
   }
+}
+
+/// Transitive closure plus one existential rule that terminates (the
+/// invented node has no outgoing edge), so omq takes the terminating
+/// chase, which checkpoints through the work dir as served chases do.
+/// svpq has answers over the database alone.
+constexpr const char* kPairProgram = R"(
+svpe(a, b). svpe(b, c). svpe(c, d). svpstart(a). svpstart(c).
+svpe(X, Y), svpe(Y, Z) -> svpe(X, Z).
+svpstart(X) -> svpe(X, N), svpnode(N).
+svpq(X, Z) :- svpe(X, Y), svpe(Y, Z).
+)";
+
+/// A database that already satisfies its rules, so cqs evaluates under
+/// its promise instead of reporting the violation.
+constexpr const char* kClosedProgram = R"(
+svcq(a, b). svcq(b, c). svcr(a). svcr(b).
+svcq(X, Y) -> svcr(X).
+svcqq(X) :- svcq(X, Y), svcr(Y).
+)";
+
+/// Engine pair: a served request (a forked worker whose chase
+/// checkpoints every round into the request's work dir) digests exactly
+/// as the same invocation run in this process with no work dir, for
+/// every request kind. Null ids are pinned on both sides, so chase CRCs
+/// (which encode null ids) compare too.
+TEST(ServeTest, ServedResultsMatchInProcessWorker) {
+  const std::string chain = WriteProgram("pair_chain", kChainProgram);
+  const std::string univ = WriteProgram("pair_univ", kUniversityProgram);
+  const std::string pair = WriteProgram("pair_tc", kPairProgram);
+  const std::string closed = WriteProgram("pair_closed", kClosedProgram);
+  auto query = [](const std::string& id, RequestKind kind,
+                  const std::string& program, const std::string& name) {
+    EvalRequest request;
+    request.id = id;
+    request.kind = kind;
+    request.program_path = program;
+    request.query = name;
+    request.budget.max_facts = 100000;
+    return request;
+  };
+  Manifest manifest;
+  manifest.requests.push_back(ChaseRequest("pair-chase-chain", chain));
+  manifest.requests.push_back(ChaseRequest("pair-chase-univ", univ));
+  manifest.requests.push_back(ChaseRequest("pair-chase-tc", pair));
+  manifest.requests.push_back(query("pair-cq", RequestKind::kCq, pair, "svpq"));
+  manifest.requests.push_back(
+      query("pair-cqs", RequestKind::kCqs, closed, "svcqq"));
+  manifest.requests.push_back(
+      query("pair-omq", RequestKind::kOmq, pair, "svpq"));
+  manifest.requests.push_back(
+      query("pair-omq-guarded", RequestKind::kOmq, univ, "svuq"));
+
+  // In-process first: it interns every name, so the forked workers
+  // inherit the same interner ids.
+  const uint32_t null_base = Term::NextNullId();
+  std::vector<WorkerResult> direct;
+  for (const EvalRequest& request : manifest.requests) {
+    WorkerInvocation invocation;
+    invocation.request = request;
+    Term::SetNextNullId(null_base);
+    int code = -1;
+    direct.push_back(RunInProcess(invocation, &code));
+    ASSERT_EQ(code, kWorkerExitOk) << request.id;
+  }
+
+  ServeOptions options = FastOptions();
+  options.work_dir = ::testing::TempDir() + "gqe_serve_pair_work";
+  std::filesystem::remove_all(options.work_dir);
+  Term::SetNextNullId(null_base);
+  const ServeReport report = ServeManifest(manifest, options);
+  ASSERT_EQ(report.completed, manifest.requests.size());
+
+  for (size_t i = 0; i < manifest.requests.size(); ++i) {
+    const EvalRequest& request = manifest.requests[i];
+    const WorkerResult& served = RowById(report, request.id).result;
+    EXPECT_EQ(served.answer_crc, direct[i].answer_crc) << request.id;
+    EXPECT_EQ(served.answer_count, direct[i].answer_count) << request.id;
+    EXPECT_EQ(served.facts, direct[i].facts) << request.id;
+    EXPECT_EQ(served.rounds_completed, direct[i].rounds_completed)
+        << request.id;
+    EXPECT_EQ(served.method, direct[i].method) << request.id;
+    if (request.kind == RequestKind::kChase) {
+      // The served chase really went through its checkpoint directory.
+      const std::vector<uint64_t> generations =
+          CheckpointDir(options.work_dir + "/" + request.id).Generations();
+      ASSERT_FALSE(generations.empty()) << request.id;
+      EXPECT_EQ(generations.back(), served.rounds_completed) << request.id;
+    }
+  }
+  EXPECT_GE(RowById(report, "pair-chase-chain").result.rounds_completed, 12u);
+  EXPECT_GT(RowById(report, "pair-cq").result.answer_count, 0u);
+  EXPECT_EQ(RowById(report, "pair-cqs").result.method, "cqs");
+  EXPECT_GT(RowById(report, "pair-cqs").result.answer_count, 0u);
+  EXPECT_GT(RowById(report, "pair-omq").result.answer_count,
+            RowById(report, "pair-cq").result.answer_count);
+  std::filesystem::remove_all(options.work_dir);
+  Term::SetNextNullId(null_base);
 }
 
 TEST(ServeTest, FaultFreeManifestCompletesEveryKind) {

@@ -139,7 +139,7 @@ class DiskStateProbe : public ChaseCheckpointSink {
   explicit DiskStateProbe(std::string state_dir)
       : state_dir_(std::move(state_dir)), tmp_before_(StorageTempDirs()) {}
 
-  void Write(const ChaseCheckpointState&, bool) override {
+  void Write(const ChaseCheckpointState&) override {
     ++boundaries_;
     std::error_code ec;
     if (!std::filesystem::is_empty(state_dir_, ec)) ++dirty_;

@@ -23,6 +23,11 @@
 // The seeds (fuzz/corpus-snapshot) were written by the real encoders in
 // a process that interned nothing before the seed program, so their
 // interner sections replay cleanly in a fresh harness process.
+// seed_chase_mid and seed_chase_payload hold one trigger in the retired
+// carried-trigger section, so they reach the decoder's reject path;
+// seed_chase_mid_encoded, a round-2 snapshot of a chase that saturates
+// after four rounds, keeps a mid-run snapshot on the accept-and-re-encode
+// path.
 //
 // The harness is not hermetic. The chase decoder interns names into the
 // process-global interner, also from inputs it goes on to reject (say,

@@ -109,7 +109,7 @@ class BinaryReader {
 /// integrity and as a cheap deterministic fingerprint of workloads.
 uint32_t Crc32(std::string_view data);
 
-/// Snapshot kinds carried in the envelope header, so bytes written as
+/// Snapshot kinds stored in the envelope header, so bytes written as
 /// one kind (say, a chase checkpoint) can never decode as another.
 constexpr uint16_t kSnapshotKindChase = 1;
 /// Retired: guarded chase-tree portions were once cached on disk under

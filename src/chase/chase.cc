@@ -100,9 +100,10 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
   bool collecting = options.collect_witness && !options.restricted;
   bool witness_exact = true;
 
-  // Every trigger key the run has seen: fired ones and the discovered
-  // but not yet fired ones (pending or carried). A candidate is new iff
-  // its key is absent. Keys stay once entered.
+  // Trigger keys of the current round. A trigger's body facts are fixed
+  // and it binds at least one delta fact, so it is discovered in exactly
+  // one round: the set only drops a trigger found again in the same round
+  // (several body atoms landing on delta facts), and is cleared per round.
   TriggerKeySet seen;
   std::vector<uint32_t> key;  // reused key buffer
   std::vector<std::vector<Term>> body_vars(tgds.size());
@@ -115,14 +116,12 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
   struct PendingTrigger {
     size_t tgd_index;
     Substitution sub;
-    int level;
   };
 
   // Semi-naive trigger discovery: after the first full pass, only search
   // for homomorphisms in which at least one body atom maps onto a fact
   // created since the previous round (the delta frontier).
   size_t delta_start = 0;  // first fact index of the current delta
-  std::vector<PendingTrigger> carried;  // unfired triggers above min level
 
   // Lemma A.1 level of fact i, parallel to the instance's insertion
   // order.
@@ -148,22 +147,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     result.triggers_fired = resume->triggers_fired;
     result.max_level_built = resume->max_level_built;
     delta_start = static_cast<size_t>(resume->delta_start);
-    seen.reserve(resume->fired.size() + resume->carried.size());
-    for (const auto& fired_key : resume->fired) seen.insert(fired_key);
-    for (const ChaseCheckpointState::CarriedTrigger& c : resume->carried) {
-      PendingTrigger trigger;
-      trigger.tgd_index = c.tgd_index;
-      trigger.level = c.level;
-      for (const auto& [from, to] : c.bindings) {
-        trigger.sub.Set(Term::FromBits(from), Term::FromBits(to));
-      }
-      if (trigger.tgd_index < tgds.size()) {
-        FillTriggerKey(trigger.tgd_index, body_vars[trigger.tgd_index],
-                       trigger.sub, &key);
-        seen.insert(key);
-        carried.push_back(std::move(trigger));
-      }
-    }
   } else {
     result.instance = *db;
     levels.assign(result.instance.size(), 0);
@@ -188,10 +171,10 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
 
   // Checkpoint tracking: `boundary` mirrors the state at the most recent
   // round boundary, maintained incrementally (append-only facts and
-  // fired keys; carried is replaced), and every boundary is delivered
-  // before the next round starts. A guard-rail trip mid-round leaves the
-  // delivered boundary as the last *consistent* state — rounds stay
-  // transactional on disk just as they are in memory.
+  // fired keys), and every boundary is delivered before the next round
+  // starts. A guard-rail trip mid-round leaves the delivered boundary as
+  // the last *consistent* state — rounds stay transactional on disk just
+  // as they are in memory.
   ChaseCheckpointSink* sink = options.checkpoint_sink;
   const bool tracking = sink != nullptr;
   ChaseCheckpointState boundary;
@@ -232,17 +215,6 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       }
     }
     boundary.witness_collected = collecting;
-    boundary.carried.clear();
-    for (const PendingTrigger& trigger : carried) {
-      ChaseCheckpointState::CarriedTrigger c;
-      c.tgd_index = static_cast<uint32_t>(trigger.tgd_index);
-      c.level = trigger.level;
-      for (const auto& [from, to] : trigger.sub.entries()) {
-        c.bindings.emplace_back(from.bits(), to.bits());
-      }
-      std::sort(c.bindings.begin(), c.bindings.end());
-      boundary.carried.push_back(std::move(c));
-    }
     boundary.delta_start = delta_start;
     boundary.rounds_completed = result.rounds_completed;
     boundary.triggers_fired = result.triggers_fired;
@@ -265,25 +237,9 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       result.complete = false;
       break;
     }
-    std::vector<PendingTrigger> pending = std::move(carried);
-    carried.clear();
-    std::vector<Term> image_scratch;
-    auto consider = [&](size_t t, Substitution&& sub) {
-      FillTriggerKey(t, body_vars[t], sub, &key);
-      if (!seen.insert(key)) return;
-      int level = 0;
-      for (const Atom& body_atom : tgds[t].body()) {
-        // Columnar level lookup: apply the substitution into a scratch
-        // argument run and probe the fact store directly — no Atom (and
-        // no heap vector) is materialized per body atom.
-        image_scratch.clear();
-        for (Term a : body_atom.args()) image_scratch.push_back(sub.Apply(a));
-        const int64_t index =
-            result.instance.store().Find(body_atom.predicate(), image_scratch);
-        if (index >= 0) level = std::max(level, levels[index]);
-      }
-      pending.push_back({t, std::move(sub), level});
-    };
+    // Lemma A.1, level-wise: every trigger this round finds binds a delta
+    // fact (level `level`) and no newer one, so the round is one level.
+    const int level = result.max_level_built;
     const size_t delta_end = result.instance.size();
 
     // Discovery units in the order the discovery loop visits them. Chunk
@@ -295,12 +251,15 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
         (delta_size + kDiscoveryChunksPerDelta - 1) / kDiscoveryChunksPerDelta);
     std::vector<ChaseDiscoveryUnit> units;
     for (size_t t = 0; t < tgds.size(); ++t) {
+      const auto& body = tgds[t].body();
+      // An empty-body TGD fires in round 0 only. Over an empty database
+      // the delta still starts at 0 in round 1, so the full pass repeats
+      // there; every other trigger it finds binds a round-0 fact.
+      if (body.empty() && result.rounds_completed > 0) continue;
       if (delta_start == 0) {
         units.push_back({t, -1, 0, 0});
         continue;
       }
-      const auto& body = tgds[t].body();
-      if (body.empty()) continue;  // fired during the full pass
       for (size_t anchor = 0; anchor < body.size(); ++anchor) {
         for (size_t begin = delta_start; begin < delta_end; begin += chunk) {
           units.push_back({t, static_cast<int>(anchor), begin,
@@ -363,11 +322,15 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     for (const std::vector<Substitution>& subs : found) {
       stats.candidates += subs.size();
     }
-    seen.reserve(seen.size() + stats.candidates);
-    pending.reserve(pending.size() + stats.candidates);
+    seen.clear();
+    seen.reserve(stats.candidates);
+    std::vector<PendingTrigger> pending;
+    pending.reserve(stats.candidates);
     for (size_t u = 0; u < units.size(); ++u) {
+      const size_t t = units[u].tgd_index;
       for (Substitution& sub : found[u]) {
-        consider(units[u].tgd_index, std::move(sub));
+        FillTriggerKey(t, body_vars[t], sub, &key);
+        if (seen.insert(key)) pending.push_back({t, std::move(sub)});
       }
     }
     found.clear();
@@ -394,14 +357,8 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
       }
       break;
     }
-    // Level-wise: fire only the triggers at the minimum pending level.
-    int min_level = pending.front().level;
-    for (const auto& trigger : pending) {
-      min_level = std::min(min_level, trigger.level);
-    }
-    if (options.max_level >= 0 && min_level >= options.max_level) {
-      // Every remaining trigger would create facts beyond the level
-      // budget.
+    if (options.max_level >= 0 && level >= options.max_level) {
+      // Every pending trigger would create facts beyond the level budget.
       stats.merge_ms = MsSince(merge_start);
       result.round_stats.push_back(stats);
       result.complete = false;
@@ -421,8 +378,8 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
     // semantics.
     bool budget_hit = false;
     Status abort_status = Status::kCompleted;
-    // Staged head facts, deduplicated in their own columns. Only
-    // min_level triggers fire, so every staged fact has level min_level+1.
+    // Staged head facts, deduplicated in their own columns. Every staged
+    // fact has level `level` + 1.
     FactStore staged;
     std::vector<Term> head_args;
     size_t round_fired = 0;
@@ -436,18 +393,13 @@ ChaseResult ChaseImpl(const Instance* db, const ChaseCheckpointState* resume,
                                   staged.term_column().size());
       for (uint32_t i = 0; i < staged.size(); ++i) {
         if (result.instance.Insert(staged.predicate(i), staged.args(i))) {
-          levels.push_back(min_level + 1);
+          levels.push_back(level + 1);
         }
       }
-      result.max_level_built = std::max(result.max_level_built, min_level + 1);
+      result.max_level_built = level + 1;
       staged.clear();
     };
     for (PendingTrigger& trigger : pending) {
-      if (trigger.level != min_level) {
-        // Keep for a later round (its level's turn has not come).
-        carried.push_back(std::move(trigger));
-        continue;
-      }
       const Status at_trigger = governor->Check();
       if (at_trigger != Status::kCompleted) {
         abort_status = at_trigger;

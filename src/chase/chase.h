@@ -2,7 +2,6 @@
 #define GQE_CHASE_CHASE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "base/atom.h"
@@ -17,8 +16,10 @@ namespace gqe {
 /// The complete engine state at a chase round boundary, sufficient to
 /// continue the run and reproduce the bit-identical final instance a
 /// straight-through run produces (same facts in the same insertion
-/// order, same labelled-null ids, same levels). Round boundaries are the only consistent snapshot points: rounds are
-/// transactional (PR 2), so mid-round state never escapes.
+/// order, same labelled-null ids, same levels). Round boundaries are the
+/// only consistent snapshot points: rounds are transactional, so
+/// mid-round state never escapes. A round fires every trigger it finds,
+/// so no trigger outlives its round.
 struct ChaseCheckpointState {
   /// Value Term::NextNullId() held at the boundary; restored on resume
   /// so re-fired triggers allocate the same labelled nulls.
@@ -42,7 +43,8 @@ struct ChaseCheckpointState {
   std::vector<int32_t> levels;
 
   /// Keys of fired triggers (tgd index + body-variable images), in
-  /// firing order.
+  /// firing order. A resumed run needs them only for the derivation
+  /// witness: no later round can find a trigger that already fired.
   std::vector<std::vector<uint32_t>> fired;
 
   /// When the run collects a derivation witness: the labelled-null ids
@@ -52,16 +54,6 @@ struct ChaseCheckpointState {
   /// `witness_collected` is false.
   std::vector<std::vector<uint32_t>> fired_nulls;
   bool witness_collected = false;
-
-  /// Discovered-but-unfired triggers carried to a later round (their
-  /// level's turn has not come). Bindings are (variable bits, term
-  /// bits), sorted, so equal states serialize to equal bytes.
-  struct CarriedTrigger {
-    uint32_t tgd_index = 0;
-    int32_t level = 0;
-    std::vector<std::pair<uint32_t, uint32_t>> bindings;
-  };
-  std::vector<CarriedTrigger> carried;
 };
 
 /// Receives round-boundary snapshots from a running chase. Implemented
@@ -266,10 +258,11 @@ ChaseResult Chase(const Instance& db, const TgdSet& tgds,
 
 /// Continues a chase from a round-boundary checkpoint state (the
 /// in-memory half of crash recovery; chase/checkpoint.h adds the disk
-/// layer). Restores the instance, levels, fired-trigger set, carried
-/// triggers, delta frontier and the labelled-null counter, then runs the
-/// ordinary round loop: killed at any round and resumed, the final
-/// instance is bit-identical to an uninterrupted run. `tgds` must be the rule set the checkpointed run used.
+/// layer). Restores the instance, levels, fired-trigger log, delta
+/// frontier and the labelled-null counter, then runs the ordinary round
+/// loop: killed at any round and resumed, the final instance is
+/// bit-identical to an uninterrupted run. `tgds` must be the rule set the
+/// checkpointed run used.
 ChaseResult ResumeChaseFromState(const ChaseCheckpointState& state,
                                  const TgdSet& tgds,
                                  const ChaseOptions& options = {});

@@ -39,16 +39,9 @@ std::string EncodeChaseSnapshot(const ChaseCheckpointState& state,
     writer.WriteU64(nulls.size());
     for (uint32_t id : nulls) writer.WriteU32(id);
   }
-  writer.WriteU64(state.carried.size());
-  for (const ChaseCheckpointState::CarriedTrigger& trigger : state.carried) {
-    writer.WriteU32(trigger.tgd_index);
-    writer.WriteI32(trigger.level);
-    writer.WriteU64(trigger.bindings.size());
-    for (const auto& [var_bits, term_bits] : trigger.bindings) {
-      writer.WriteU32(var_bits);
-      writer.WriteU32(term_bits);
-    }
-  }
+  // Retired carried-trigger count (a trigger fires in the round that
+  // finds it): kept zero so the byte layout stays unchanged.
+  writer.WriteU64(0);
   return writer.Take();
 }
 
@@ -150,29 +143,10 @@ SnapshotStatus DecodeChaseSnapshot(std::string_view payload,
     decoded.fired_nulls.push_back(std::move(nulls));
   }
 
-  uint64_t carried_count = 0;
-  if (!reader.ReadU64(&carried_count)) {
+  uint64_t retired_count = 0;
+  if (!reader.ReadU64(&retired_count) || retired_count != 0) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                "chase snapshot carried count cut short");
-  }
-  for (uint64_t i = 0; i < carried_count; ++i) {
-    ChaseCheckpointState::CarriedTrigger trigger;
-    uint64_t binding_count = 0;
-    if (!reader.ReadU32(&trigger.tgd_index) ||
-        !reader.ReadI32(&trigger.level) ||
-        !reader.ReadU64(&binding_count) ||
-        binding_count * 2 * sizeof(uint32_t) > reader.remaining()) {
-      return SnapshotStatus::Fail(SnapshotError::kFormatError,
-                                  "chase snapshot carried triggers cut short");
-    }
-    trigger.bindings.reserve(binding_count);
-    for (uint64_t b = 0; b < binding_count; ++b) {
-      uint32_t var_bits = 0, term_bits = 0;
-      reader.ReadU32(&var_bits);
-      reader.ReadU32(&term_bits);
-      trigger.bindings.emplace_back(var_bits, term_bits);
-    }
-    decoded.carried.push_back(std::move(trigger));
+                                "chase snapshot carries triggers");
   }
   if (!reader.ok() || !reader.AtEnd()) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,

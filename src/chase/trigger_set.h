@@ -11,16 +11,16 @@
 namespace gqe {
 
 /// Dedup set for oblivious-chase trigger keys (tgd index + body-variable
-/// images, a short uint32 run). The old representation — an
-/// unordered_set of std::vector<uint32_t> — paid one heap vector per key
-/// plus node allocation per entry; here key bytes live contiguously in a
-/// bump arena and the open-addressing index stores {pointer, length}
-/// slots, so a chase's whole fired-trigger history tears down in O(1).
+/// images, a short uint32 run). Key bytes live contiguously in a bump
+/// arena and the open-addressing index stores {pointer, length} slots, so
+/// there is no heap vector or node per key. clear() keeps the index's
+/// capacity and the arena's newest block for reuse: the chase clears the
+/// set at the start of every round.
 ///
-/// Not copyable: slots alias the arena. The chase owns one set per run.
+/// Not copyable: slots alias the arena.
 class TriggerKeySet {
  public:
-  TriggerKeySet() { table_.ops().set = this; }
+  TriggerKeySet() = default;
   TriggerKeySet(const TriggerKeySet&) = delete;
   TriggerKeySet& operator=(const TriggerKeySet&) = delete;
 
@@ -45,19 +45,7 @@ class TriggerKeySet {
     return fresh;
   }
 
-  bool contains(const std::vector<uint32_t>& key) const {
-    return table_.contains(key);
-  }
-
-  /// Removes the key (tombstone). The arena bytes are reclaimed at
-  /// clear(), not per-erase — erased keys are a small transient set.
-  bool erase(const std::vector<uint32_t>& key) { return table_.erase(key); }
-
-  size_t size() const { return table_.size(); }
-  bool empty() const { return table_.empty(); }
   void reserve(size_t n) { table_.reserve(n); }
-  uint64_t rehashes() const { return table_.rehashes(); }
-  size_t arena_bytes() const { return arena_.bytes_reserved(); }
 
   void clear() {
     table_.clear();
@@ -71,7 +59,6 @@ class TriggerKeySet {
   };
 
   struct Ops {
-    const TriggerKeySet* set = nullptr;
     uint64_t hash(const KeyRef& ref) const {
       return HashKey(ref.data, ref.len);
     }
@@ -83,11 +70,6 @@ class TriggerKeySet {
              (slot.len == 0 ||
               std::memcmp(slot.data, key.data(),
                           slot.len * sizeof(uint32_t)) == 0);
-    }
-    bool eq(const KeyRef& a, const KeyRef& b) const {
-      return a.len == b.len &&
-             (a.len == 0 ||
-              std::memcmp(a.data, b.data, a.len * sizeof(uint32_t)) == 0);
     }
   };
 

@@ -23,6 +23,9 @@ namespace gqe {
 
 namespace {
 
+/// Seed of the retry backoff's deterministic jitter.
+constexpr uint64_t kJitterSeed = 1;
+
 // Deterministic, order-independent chaos and jitter draws on top of the
 // shared Mix64 (base/subprocess.h): every (request id, attempt) pair gets
 // its own stream, so concurrent scheduling cannot reorder the randomness.
@@ -712,7 +715,7 @@ class ServeEngine::Impl {
                                                   : job.exact_attempts;
     const double delay = BackoffDelayMs(
         phase_attempts, options_.backoff_base_ms, options_.backoff_cap_ms,
-        options_.jitter_seed,
+        kJitterSeed,
         HashId(job.request.id) ^
             (static_cast<uint64_t>(job.attempt_number) << 40));
     job.ready_at = now + delay;

@@ -56,10 +56,9 @@ struct ServeOptions {
   int max_attempts = 5;
 
   /// Exponential backoff between attempts: min(cap, base * 2^(n-1)),
-  /// scaled by deterministic jitter in [0.5, 1.5) from `jitter_seed`.
+  /// scaled by deterministic jitter in [0.5, 1.5) from a fixed seed.
   double backoff_base_ms = 25.0;
   double backoff_cap_ms = 1000.0;
-  uint64_t jitter_seed = 1;
 
   /// Worker liveness: the child heartbeats every `heartbeat_interval_ms`;
   /// missing beats for `heartbeat_timeout_ms` gets it SIGKILLed (this is

@@ -38,6 +38,9 @@ constexpr size_t kMaxFrameBytes = 1ull << 30;
 constexpr size_t kOomFaultLimitBytes = 64ull << 20;
 constexpr size_t kOomFaultProbeBytes = 128ull << 20;
 
+/// Seed of the retry backoff's deterministic jitter.
+constexpr uint64_t kJitterSeed = 1;
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -521,7 +524,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     if (slot->first_fault_at < 0) slot->first_fault_at = now;
     const double delay = BackoffDelayMs(
         slot->attempts, options_.backoff_base_ms, options_.backoff_cap_ms,
-        options_.jitter_seed,
+        kJitterSeed,
         Mix64(round.round) ^ (static_cast<uint64_t>(slot->shard) << 32) ^
             static_cast<uint64_t>(slot->attempts));
     slot->ready_at = now + delay;
@@ -623,10 +626,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     const std::string framed =
         EncodeFrame(FrameType::kStorageCommand, EncodeStorageCommand(*command));
     if (stats_ != nullptr) stats_->exchanged_bytes += framed.size();
-    const double timeout = options_.command_timeout_ms > 0
-                               ? options_.command_timeout_ms
-                               : options_.heartbeat_timeout_ms;
-    if (!slot->worker.WriteCommand(framed, timeout)) {
+    if (!slot->worker.WriteCommand(framed, options_.heartbeat_timeout_ms)) {
       std::string cause = "command-timeout";
       if (slot->worker.Poll()) {
         cause = StorageDeathCause(slot->worker.exit_status());

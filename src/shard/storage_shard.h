@@ -70,18 +70,14 @@ struct StorageShardOptions {
   int max_attempts = 3;
   double backoff_base_ms = 2.0;
   double backoff_cap_ms = 100.0;
-  uint64_t jitter_seed = 1;
 
   /// Liveness: workers beat every `heartbeat_interval_ms`; silent for
   /// `heartbeat_timeout_ms` means stalled → SIGKILL → respawn + reseed.
+  /// The timeout also bounds handing a command frame to a worker's pipe
+  /// (the coordinator's write end is non-blocking), so a stalled worker
+  /// with a full command pipe is declared dead just as fast.
   double heartbeat_interval_ms = 5.0;
   double heartbeat_timeout_ms = 1000.0;
-
-  /// Deadline for handing a command frame to a worker's pipe. A stalled
-  /// worker with a full command pipe must cost at most this long before
-  /// being declared dead (the coordinator's write end is non-blocking).
-  /// 0: use heartbeat_timeout_ms.
-  double command_timeout_ms = 0.0;
 
   /// Hard kernel caps installed in every storage worker (0 = uncapped).
   WorkerLimits limits;

@@ -127,7 +127,7 @@ TEST(ArenaTest, MoveTransfersOwnership) {
 
 #ifndef NDEBUG
 TEST(ArenaPinDeathTest, ResetUnderPinAsserts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
         Arena arena;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -205,6 +206,27 @@ TEST(ChaseTest, ChaseAnswersCertainly) {
   EXPECT_EQ(answers[0][0], C("gina"));
 }
 
+TEST(ChaseTest, TransitiveClosureFiresEachTriggerOnce) {
+  // A trigger of e(X, Y), e(Y, Z) -> e(X, Z) over a path of n edges is a
+  // node triple x < y < z, so exactly C(n+1, 3) fire. Within a round,
+  // both body atoms can land on delta facts, so the same trigger is
+  // discovered twice there and must fire once.
+  constexpr int kEdges = 100;
+  TgdSet sigma = {Tgd({Atom::Make("CTc", {V("X"), V("Y")}),
+                       Atom::Make("CTc", {V("Y"), V("Z")})},
+                      {Atom::Make("CTc", {V("X"), V("Z")})})};
+  Instance db;
+  for (int i = 0; i < kEdges; ++i) {
+    const Term from = Term::Constant("tc" + std::to_string(i));
+    const Term to = Term::Constant("tc" + std::to_string(i + 1));
+    db.Insert(Atom::Make("CTc", {from, to}));
+  }
+  ChaseResult result = Chase(db, sigma);
+  ASSERT_TRUE(result.complete);
+  EXPECT_EQ(result.triggers_fired, 166650u);  // C(101, 3)
+  EXPECT_EQ(result.instance.size(), 5050u);   // C(101, 2)
+}
+
 // ---------------------------------------------------------------------
 // Random workloads: the inclusion-dependency generator alternating with
 // a join generator, so linear rules and joins are both exercised.
@@ -306,6 +328,30 @@ struct RecordingSink : ChaseCheckpointSink {
     states.push_back(state);
   }
 };
+
+// One round is one level (Lemma A.1): levels never decrease in insertion
+// order, and every fact round r commits has level r + 1, so the facts a
+// boundary adds over the previous one have level `rounds_completed`.
+TEST(ChaseTest, EachRoundCommitsOneLevel) {
+  for (int seed = 0; seed < 20; ++seed) {
+    RandomWorkload w = MakeWorkload(seed);
+    RecordingSink sink;
+    ChaseOptions options;
+    options.budget.max_facts = 1200;
+    options.checkpoint_sink = &sink;
+    ChaseResult result = Chase(w.db, w.sigma, options);
+    EXPECT_TRUE(std::is_sorted(result.levels.begin(), result.levels.end()))
+        << "seed " << seed;
+    size_t committed = 0;
+    for (const ChaseCheckpointState& state : sink.states) {
+      for (size_t i = committed; i < state.levels.size(); ++i) {
+        EXPECT_EQ(state.levels[i], static_cast<int32_t>(state.rounds_completed))
+            << "seed " << seed << " fact " << i;
+      }
+      committed = state.levels.size();
+    }
+  }
+}
 
 // Rounds are transactional: a fault injector trips kCancelled at the Nth
 // governor checkpoint — in discovery, at a trigger boundary or on a fact

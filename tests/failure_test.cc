@@ -146,12 +146,21 @@ TEST(FailureTest, OmqOnEmptyDatabase) {
 }
 
 TEST(FailureTest, EmptyBodyTgdOnEmptyDatabase) {
-  // An empty-body rule fires even over the empty database.
-  TgdSet sigma = ParseTgds("-> fha(Z).");
+  // An empty-body rule fires even over the empty database, and only
+  // once: round 1 repeats the full pass (its delta still starts at fact
+  // 0), which must not find the empty-body trigger again. The budget
+  // turns a refiring engine into a fast failure instead of a hang.
+  TgdSet sigma = ParseTgds("-> fha(Z). fha(X), fha(Y) -> fhb(X, Y).");
   Instance empty;
-  ChaseResult result = Chase(empty, sigma);
+  ChaseOptions options;
+  options.budget.max_facts = 100;
+  ChaseResult result = Chase(empty, sigma, options);
   EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.instance.size(), 1u);
+  ASSERT_EQ(result.instance.size(), 2u);
+  const Term null = result.instance.atom(0).args()[0];
+  EXPECT_TRUE(null.IsNull());
+  EXPECT_TRUE(result.instance.Contains(Atom::Make("fhb", {null, null})));
+  EXPECT_EQ(result.triggers_fired, 2u);
 }
 
 }  // namespace

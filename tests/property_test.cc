@@ -10,7 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "approx/approximation.h"
+#include "approx/meta.h"
 #include "chase/chase.h"
+#include "cqs/containment.h"
 #include "fc/witness.h"
 #include "graph/treewidth.h"
 #include "guarded/omq_eval.h"
@@ -738,6 +741,148 @@ TEST(GuardedEnginePairs, FiniteWitnessMatchesCertainAnswers) {
   // The fold path, not only the terminating-chase shortcut, is checked.
   EXPECT_GE(checked, 20);
   EXPECT_GE(folded, 10);
+}
+
+// ---------------------------------------------------------------------
+// Engine pair 5: the UCQ_k-approximation S_k^a of a CQS S (Prop. 5.11)
+// lies in UCQ_k, is contained in S, and is equivalent to S whenever the
+// meta-problem (DecideUniformUcqkEquivalenceCqs) says S is uniformly
+// UCQ_k-equivalent. Σ is guarded with single-atom heads over unary and
+// binary predicates, so k = 1 = r*m - 1 is in Prop. 5.11's exact range.
+// The query is a cyclic Boolean or unary CQ over ea0/ea1 with unary
+// markers eu0..eu2, in the spirit of Example 4.4.
+// ---------------------------------------------------------------------
+
+Cqs RandomApproximationCqs(uint64_t seed) {
+  WorkloadRng rng(seed * 7 + 1);
+  const Term x = Term::Variable("X");
+  const Term y = Term::Variable("Y");
+  const Term e = Term::Variable("E");
+  auto unary = [&rng]() { return "eu" + std::to_string(rng.Below(3)); };
+  auto binary = [&rng]() { return "ea" + std::to_string(rng.Below(2)); };
+  // Every draw is its own statement: the order in which a call's
+  // arguments are evaluated is unspecified, and the seeds must build the
+  // same sets under every compiler.
+  Cqs cqs;
+  for (int t = static_cast<int>(rng.Below(3)); t > 0; --t) {
+    const uint32_t shape = rng.Below(4);
+    const std::string from = shape == 0 || shape == 3 ? unary() : binary();
+    const std::string to = shape == 2 || shape == 3 ? binary() : unary();
+    switch (shape) {
+      case 0:
+        cqs.sigma.push_back(
+            Tgd({Atom::Make(from, {x})}, {Atom::Make(to, {x})}));
+        break;
+      case 1: {
+        const Term marked = rng.Chance(50) ? x : y;
+        cqs.sigma.push_back(
+            Tgd({Atom::Make(from, {x, y})}, {Atom::Make(to, {marked})}));
+        break;
+      }
+      case 2:
+        cqs.sigma.push_back(
+            Tgd({Atom::Make(from, {x, y})}, {Atom::Make(to, {y, x})}));
+        break;
+      default:
+        cqs.sigma.push_back(
+            Tgd({Atom::Make(from, {x})}, {Atom::Make(to, {x, e})}));
+        break;
+    }
+  }
+  const int num_vars = 3 + static_cast<int>(rng.Below(2));
+  auto var = [](int i) { return Term::Variable("QV" + std::to_string(i)); };
+  std::vector<Atom> atoms;
+  for (int i = 0; i < num_vars; ++i) {  // a cycle through every variable
+    const int j = (i + 1) % num_vars;
+    atoms.push_back(rng.Chance(50) ? Atom::Make(binary(), {var(i), var(j)})
+                                   : Atom::Make(binary(), {var(j), var(i)}));
+  }
+  if (rng.Chance(50)) {  // a chord
+    atoms.push_back(Atom::Make(binary(), {var(0), var(2)}));
+  }
+  for (int m = static_cast<int>(rng.Below(4)); m > 0; --m) {
+    const std::string marker = unary();
+    atoms.push_back(Atom::Make(marker, {var(rng.Below(num_vars))}));
+  }
+  std::vector<Term> answer;
+  if (rng.Chance(30)) answer.push_back(var(0));
+  cqs.query = UCQ({CQ(std::move(answer), std::move(atoms))});
+  return cqs;
+}
+
+/// Why `cqs`'s UCQ_k-approximation breaks the pair-5 contract; empty
+/// when it holds. `equivalent` receives the meta-problem's verdict.
+std::string ApproximationViolation(const Cqs& cqs, int k,
+                                   bool* equivalent = nullptr) {
+  const Cqs approximation = UcqkApproximationCqs(cqs, k);
+  const MetaResult meta = DecideUniformUcqkEquivalenceCqs(cqs, k);
+  if (equivalent != nullptr) *equivalent = meta.equivalent;
+  if (approximation.query.num_disjuncts() > 0 &&
+      approximation.query.TreewidthOfExistentialPart() > k) {
+    return "approximation is not in UCQ_k";
+  }
+  if (!CqsContained(approximation, cqs)) {
+    return "approximation is not contained in S";
+  }
+  if (meta.equivalent && !CqsEquivalent(cqs, approximation)) {
+    return "meta-problem says equivalent, but S is not contained in the "
+           "approximation";
+  }
+  return "";
+}
+
+/// Greedy minimization: drop TGDs, then query atoms, as long as the
+/// contract is still broken; prints the case in parser syntax.
+std::string MinimizeApproximationCase(Cqs cqs, int k) {
+  bool shrunk = true;
+  while (shrunk) {
+    shrunk = false;
+    for (size_t drop = 0; drop < cqs.sigma.size() && !shrunk; ++drop) {
+      Cqs smaller = cqs;
+      smaller.sigma.erase(smaller.sigma.begin() + drop);
+      if (!ApproximationViolation(smaller, k).empty()) {
+        cqs = std::move(smaller);
+        shrunk = true;
+      }
+    }
+    const CQ& cq = cqs.query.disjuncts()[0];
+    for (size_t drop = 0; cq.atoms().size() > 1 && drop < cq.atoms().size() &&
+                          !shrunk;
+         ++drop) {
+      std::vector<Atom> fewer = cq.atoms();
+      fewer.erase(fewer.begin() + drop);
+      CQ candidate(cq.answer_vars(), std::move(fewer));
+      if (!candidate.Validate()) continue;
+      Cqs smaller{cqs.sigma, UCQ({candidate})};
+      if (!ApproximationViolation(smaller, k).empty()) {
+        cqs = std::move(smaller);
+        shrunk = true;
+      }
+    }
+  }
+  return TgdSetToString(cqs.sigma) + cqs.query.ToString() + "\n" +
+         ApproximationViolation(cqs, k);
+}
+
+TEST(ApproximationEnginePair, ApproximationIsContainedAndExactWhenEquivalent) {
+  constexpr int k = 1;
+  int equivalent_seeds = 0;
+  constexpr int kSeeds = 24;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    const Cqs cqs = RandomApproximationCqs(seed);
+    ASSERT_TRUE(cqs.Validate("G", 1)) << "seed " << seed;
+    ASSERT_GE(k, MinimumValidK(cqs)) << "seed " << seed;
+    bool equivalent = false;
+    if (!ApproximationViolation(cqs, k, &equivalent).empty()) {
+      ADD_FAILURE() << "seed " << seed << "\n"
+                    << MinimizeApproximationCase(cqs, k);
+    }
+    equivalent_seeds += equivalent;
+  }
+  // Both verdicts occur, so the equivalence check is exercised and the
+  // meta-problem does not pass by answering constantly.
+  EXPECT_GT(equivalent_seeds, 0);
+  EXPECT_LT(equivalent_seeds, kSeeds);
 }
 
 // ---------------------------------------------------------------------

@@ -417,6 +417,40 @@ TEST(SerializeTest, ShortWritesThenFailureKeepsPreviousFile) {
   }
 }
 
+/// Keeps every round-boundary state a chase delivers.
+struct CollectingSink : ChaseCheckpointSink {
+  std::vector<ChaseCheckpointState> states;
+  void Write(const ChaseCheckpointState& state) override {
+    states.push_back(state);
+  }
+};
+
+TEST(SerializeTest, SnapshotWithCarriedTriggersIsRejected) {
+  // A trigger fires in the round that finds it, so a snapshot's trailing
+  // carried-trigger count (kept for the byte layout) is always 0. A real
+  // mid-run payload with that count set to 1 is malformed.
+  TgdSet sigma = ParseTgds("sca(X) -> scb(X). scb(X) -> scc(X).");
+  Instance db;
+  db.Insert(Atom::Make("sca", {Term::Constant("sc1")}));
+  CollectingSink sink;
+  ChaseOptions options;
+  options.checkpoint_sink = &sink;
+  Chase(db, sigma, options);
+  ASSERT_GE(sink.states.size(), 2u);
+  std::string payload = EncodeChaseSnapshot(sink.states[1], 7);
+  ChaseCheckpointState decoded;
+  uint32_t fingerprint = 0;
+  ASSERT_TRUE(DecodeChaseSnapshot(payload, &decoded, &fingerprint).ok());
+  EXPECT_EQ(fingerprint, 7u);
+  EXPECT_EQ(EncodeChaseSnapshot(decoded, fingerprint), payload);
+
+  ASSERT_EQ(payload.substr(payload.size() - 8), std::string(8, '\0'));
+  payload[payload.size() - 8] = 1;
+  const SnapshotStatus status =
+      DecodeChaseSnapshot(payload, &decoded, &fingerprint);
+  EXPECT_EQ(status.error, SnapshotError::kFormatError);
+}
+
 TEST(SerializeTest, CheckpointSaveFaultKeepsPreviousGeneration) {
   // A real two-round chase provides genuine checkpoint states.
   TgdSet sigma = ParseTgds("swa(X) -> swb(X). swb(X) -> swc(X).");
@@ -424,12 +458,7 @@ TEST(SerializeTest, CheckpointSaveFaultKeepsPreviousGeneration) {
   db.Insert(Atom::Make("swa", {Term::Constant("sw1")}));
   db.Insert(Atom::Make("swa", {Term::Constant("sw2")}));
 
-  struct CollectingSink : ChaseCheckpointSink {
-    std::vector<ChaseCheckpointState> states;
-    void Write(const ChaseCheckpointState& state) override {
-      states.push_back(state);
-    }
-  } sink;
+  CollectingSink sink;
   ChaseOptions options;
   options.checkpoint_sink = &sink;
   Chase(db, sigma, options);

@@ -201,6 +201,20 @@ int RunJsonBench() {
                 static_cast<double>(stats.max_fragment_facts));
     }
   }
+  // The in-process chase of the same input: the baseline every shard
+  // count is measured against. Timed after the sharded rows, so like
+  // them it runs on a warm heap.
+  {
+    Term::SetNextNullId(null_base);
+    Stopwatch watch;
+    ChaseResult result = Chase(db, sigma, chase_options);
+    const double ms = watch.ElapsedMs();
+    const double facts = static_cast<double>(result.instance.size());
+    json.Add("storage_tc/40/in_process", ms * 1e6, facts * 1e3 / ms);
+    std::printf("%-20s %12.0f ns/op  %10.0f facts/s\n",
+                "storage_tc/40/in_process", ms * 1e6, facts * 1e3 / ms);
+  }
+
   json.Meta("storage_total_facts", static_cast<double>(total_facts));
   json.Meta("single_process_rss_kb", static_cast<double>(PeakRssKb()));
 

@@ -109,8 +109,12 @@ int main(int argc, char** argv) {
   for (const auto& [name, query] : program.queries) {
     gqe::Omq omq = gqe::Omq::WithFullDataSchema(program.tgds, query);
     gqe::OmqEvalResult result = gqe::EvaluateOmq(omq, program.database);
-    if (!result.exact) {
-      std::printf("(%s: bounded-chase approximation)\n", name.c_str());
+    if (result.partial) {
+      std::printf("(%s: %s, partial: %s)\n", name.c_str(),
+                  result.method.c_str(), gqe::StatusName(result.status));
+    } else if (!result.exact) {
+      std::printf("(%s: %s approximation)\n", name.c_str(),
+                  result.method.c_str());
     }
     PrintAnswers(name, result.answers);
   }

@@ -69,6 +69,8 @@ class BinaryWriter {
   void WriteBool(bool value) { WriteU8(value ? 1 : 0); }
   /// Length-prefixed (u64) byte string.
   void WriteString(std::string_view value);
+  /// Bytes another writer produced, appended verbatim (no prefix).
+  void WriteBytes(std::string_view bytes) { buffer_.append(bytes); }
 
   const std::string& buffer() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }

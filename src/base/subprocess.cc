@@ -2,20 +2,83 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 namespace gqe {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+Clock::time_point DeadlineAfter(double timeout_ms) {
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double, std::milli>(
+                                timeout_ms > 0 ? timeout_ms : 0));
+}
+
+double MsUntil(Clock::time_point deadline) {
+  return std::chrono::duration<double, std::milli>(deadline - Clock::now())
+      .count();
+}
+
+// Waits in ppoll(2) on `fds` for at most `timeout_ms` (0 or less: a
+// probe). EINTR ends the wait early; every caller re-checks its state and
+// waits again.
+void PollFor(pollfd* fds, size_t count, double timeout_ms) {
+  // Capped at a day so the conversion cannot overflow.
+  const double ms = std::clamp(timeout_ms, 0.0, 86400000.0);
+  timespec wait;
+  wait.tv_sec = static_cast<time_t>(ms / 1000.0);
+  wait.tv_nsec = static_cast<long>(
+      (ms - static_cast<double>(wait.tv_sec) * 1000.0) * 1e6);
+  ::ppoll(fds, static_cast<nfds_t>(count), &wait, nullptr);
+}
+
+// Blocks SIGPIPE on the calling thread for its lifetime, so a write to a
+// pipe whose reader is gone fails with EPIPE instead of raising a signal
+// whose default action kills the process. A SIGPIPE raised meanwhile is
+// taken off the pending set before the old mask comes back.
+class SigpipeBlock {
+ public:
+  SigpipeBlock() {
+    sigemptyset(&sigpipe_);
+    sigaddset(&sigpipe_, SIGPIPE);
+    ::pthread_sigmask(SIG_BLOCK, &sigpipe_, &old_mask_);
+    sigset_t pending;
+    sigemptyset(&pending);
+    ::sigpending(&pending);
+    was_pending_ = sigismember(&pending, SIGPIPE) == 1;
+  }
+  ~SigpipeBlock() {
+    if (!was_pending_) {
+      const timespec zero{};
+      while (::sigtimedwait(&sigpipe_, nullptr, &zero) < 0 && errno == EINTR) {
+      }
+    }
+    ::pthread_sigmask(SIG_SETMASK, &old_mask_, nullptr);
+  }
+  SigpipeBlock(const SigpipeBlock&) = delete;
+  SigpipeBlock& operator=(const SigpipeBlock&) = delete;
+
+ private:
+  sigset_t sigpipe_;
+  sigset_t old_mask_;
+  bool was_pending_ = false;
+};
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -29,21 +92,27 @@ void CloseQuietly(int* fd) {
   }
 }
 
-// Drains whatever is available from a non-blocking fd. Appends to `out`
-// when non-null; returns bytes read this call.
-size_t DrainFd(int fd, std::string* out) {
-  if (fd < 0) return 0;
+// Drains whatever is available from the non-blocking fd `*fd`. Appends to
+// `out` when non-null; returns bytes read this call. At end of file (the
+// writer is gone and the pipe is empty) the fd is closed and set to -1:
+// nothing more can come, and poll(2) would report the hang-up again on
+// every call, turning each wait on it into a busy loop.
+size_t DrainFd(int* fd, std::string* out) {
   size_t total = 0;
   char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+  while (*fd >= 0) {
+    const ssize_t n = ::read(*fd, buffer, sizeof(buffer));
     if (n > 0) {
       if (out != nullptr) out->append(buffer, static_cast<size_t>(n));
       total += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // 0 = writer gone, EAGAIN = drained for now
+    if (n == 0) {
+      CloseQuietly(fd);
+      break;
+    }
+    if (errno == EINTR) continue;
+    break;  // EAGAIN: drained for now
   }
   return total;
 }
@@ -118,12 +187,14 @@ WorkerProcess& WorkerProcess::operator=(WorkerProcess&& other) noexcept {
     command_fd_ = other.command_fd_;
     result_fd_ = other.result_fd_;
     heartbeat_fd_ = other.heartbeat_fd_;
+    exit_fd_ = other.exit_fd_;
     exit_ = other.exit_;
     result_ = std::move(other.result_);
     other.pid_ = -1;
     other.command_fd_ = -1;
     other.result_fd_ = -1;
     other.heartbeat_fd_ = -1;
+    other.exit_fd_ = -1;
     other.exit_ = WorkerExit{};
   }
   return *this;
@@ -146,17 +217,13 @@ void WorkerProcess::CloseFds() {
   CloseQuietly(&command_fd_);
   CloseQuietly(&result_fd_);
   CloseQuietly(&heartbeat_fd_);
+  CloseQuietly(&exit_fd_);
 }
-
-void WorkerProcess::CloseCommand() { CloseQuietly(&command_fd_); }
 
 bool WorkerProcess::WriteCommand(std::string_view data, double timeout_ms) {
   if (command_fd_ < 0) return false;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              timeout_ms > 0 ? timeout_ms : 0));
+  const Clock::time_point deadline = DeadlineAfter(timeout_ms);
+  const SigpipeBlock no_sigpipe;
   size_t written = 0;
   while (written < data.size()) {
     const ssize_t n =
@@ -167,12 +234,13 @@ bool WorkerProcess::WriteCommand(std::string_view data, double timeout_ms) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Full pipe: the worker is slow or stalled. Never block — wait out
-      // the deadline in small sleeps, giving up early if the worker died
-      // (its read end is gone, so the pipe will never drain).
-      if (Poll()) return false;
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Full pipe: the worker is slow or stalled. Wait for room until the
+      // deadline. A worker that dies closes its read end, which ends the
+      // wait with POLLERR and fails the next write with EPIPE.
+      const double left = MsUntil(deadline);
+      if (left <= 0) return false;
+      pollfd room{command_fd_, POLLOUT, 0};
+      PollFor(&room, 1, left);
       continue;
     }
     return false;  // EPIPE (worker gone) or a hard error
@@ -188,6 +256,7 @@ struct SpawnedWorker {
   int command_fd = -1;
   int result_fd = -1;
   int heartbeat_fd = -1;
+  int exit_fd = -1;
 };
 
 // Shared fork path behind both Spawn overloads. `with_command` adds the
@@ -250,7 +319,8 @@ bool SpawnWorkerImpl(
   }
 
   // Parent. The command write end is non-blocking so WriteCommand can
-  // poll instead of wedging on a stalled worker's full pipe.
+  // wait for room with a deadline instead of wedging on a stalled
+  // worker's full pipe.
   if (with_command) {
     ::close(command_pipe[0]);
     SetNonBlocking(command_pipe[1]);
@@ -263,6 +333,13 @@ bool SpawnWorkerImpl(
   out->command_fd = with_command ? command_pipe[1] : -1;
   out->result_fd = result_pipe[0];
   out->heartbeat_fd = heartbeat_pipe[0];
+  // A pidfd turns readable once the worker can be reaped. The pipes'
+  // hang-up is no substitute: an exiting process closes its files before
+  // it can be reaped, and a supervisor that polls on in that window,
+  // woken at once by the hang-up each time, can keep the dying worker
+  // off the CPU for a whole time slice. Without pidfd support (-1) the
+  // waits fall back to the pipes and their deadlines.
+  out->exit_fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
   return true;
 }
 
@@ -286,6 +363,7 @@ bool WorkerProcess::Spawn(
   out->command_fd_ = spawned.command_fd;
   out->result_fd_ = spawned.result_fd;
   out->heartbeat_fd_ = spawned.heartbeat_fd;
+  out->exit_fd_ = spawned.exit_fd;
   return true;
 }
 
@@ -303,6 +381,7 @@ bool WorkerProcess::Spawn(
   out->command_fd_ = spawned.command_fd;
   out->result_fd_ = spawned.result_fd;
   out->heartbeat_fd_ = spawned.heartbeat_fd;
+  out->exit_fd_ = spawned.exit_fd;
   return true;
 }
 
@@ -336,24 +415,40 @@ bool WorkerProcess::Poll() {
 }
 
 bool WorkerProcess::WaitReaped(double timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              timeout_ms > 0 ? timeout_ms : 0));
-  for (;;) {
-    if (Poll()) return true;
+  const Clock::time_point deadline = DeadlineAfter(timeout_ms);
+  const WorkerProcess* self = this;
+  while (!Poll()) {
+    // Draining lets a worker blocked on a full pipe run on to its exit,
+    // and closes a pipe that has hung up.
     DrainHeartbeats();
     DrainResult();
-    if (std::chrono::steady_clock::now() >= deadline) return Poll();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const double left = MsUntil(deadline);
+    if (left <= 0) return Poll();
+    // The pidfd wakes this wait once the worker can be reaped. Without
+    // one, nothing does after the pipes have hung up, so the wait is cut
+    // into 1 ms slices.
+    WaitForOutput({&self, 1}, exit_fd_ >= 0 ? left : std::min(left, 1.0));
   }
+  return true;
 }
 
-void WorkerProcess::DrainResult() { DrainFd(result_fd_, &result_); }
+void WorkerProcess::WaitForOutput(
+    std::span<const WorkerProcess* const> workers, double timeout_ms) {
+  std::vector<pollfd> fds;
+  fds.reserve(3 * workers.size());
+  for (const WorkerProcess* worker : workers) {
+    // poll(2) skips a negative fd, so a closed pipe is no event.
+    fds.push_back({worker->result_fd_, POLLIN, 0});
+    fds.push_back({worker->heartbeat_fd_, POLLIN, 0});
+    fds.push_back({worker->exit_fd_, POLLIN, 0});
+  }
+  PollFor(fds.data(), fds.size(), timeout_ms);
+}
+
+void WorkerProcess::DrainResult() { DrainFd(&result_fd_, &result_); }
 
 size_t WorkerProcess::DrainHeartbeats() {
-  return DrainFd(heartbeat_fd_, nullptr);
+  return DrainFd(&heartbeat_fd_, nullptr);
 }
 
 void WorkerProcess::Kill(int sig) {

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace gqe {
@@ -44,7 +46,8 @@ struct WorkerExit {
 /// A fork-isolated worker process plus the two pipes the supervisor reads:
 /// `result_fd` carries the worker's serialized result (written once,
 /// before exit) and `heartbeat_fd` carries liveness bytes. Both parent
-/// ends are non-blocking.
+/// ends are non-blocking. A pidfd of the worker (Linux 5.3+) tells the
+/// waits below when it has exited.
 ///
 /// IMPORTANT: Spawn forks without exec, so the child runs full C++ in the
 /// parent's address-space image. That is only safe when the parent is
@@ -75,22 +78,22 @@ class WorkerProcess {
   /// child's read end is blocking (the worker parks in read between
   /// commands); the parent's write end is non-blocking so a stalled
   /// (SIGSTOP'd) worker with a full pipe can never wedge the supervisor —
-  /// WriteCommand below polls with a deadline instead.
+  /// WriteCommand below waits in poll(2) for room, up to a deadline.
   static bool Spawn(
       const WorkerLimits& limits,
       const std::function<int(int command_fd, int result_fd, int heartbeat_fd)>&
           body,
       WorkerProcess* out, std::string* error);
 
-  /// Writes `data` to the command pipe, polling past EAGAIN until
-  /// `timeout_ms` elapses or the worker dies. Returns false on timeout,
-  /// peer-gone, hard error, or when no command pipe exists; the caller
-  /// treats any failure as a worker fault (kill + respawn), never a hang.
+  /// Writes `data` to the command pipe. While the pipe is full it blocks
+  /// in poll(2) until the worker reads, its read end goes away or
+  /// `timeout_ms` elapses. Returns false on timeout, peer-gone (at once:
+  /// an exited worker's pipe reports the error without waiting), hard
+  /// error, or when no command pipe exists; the caller treats any failure
+  /// as a worker fault (kill + respawn), never a hang. SIGPIPE is blocked
+  /// on the calling thread for the call, so a vanished reader is an
+  /// EPIPE return, not a signal that kills the supervisor.
   bool WriteCommand(std::string_view data, double timeout_ms);
-
-  /// Closes the parent's command write end. The worker sees EOF on its
-  /// next read and exits cleanly — the graceful half of teardown.
-  void CloseCommand();
 
   pid_t pid() const { return pid_; }
   bool running() const { return pid_ > 0 && !exit_.reaped; }
@@ -103,18 +106,32 @@ class WorkerProcess {
   /// instead of spinning on a zombie that will never appear.
   bool Poll();
 
-  /// Blocking reap with a deadline: polls waitpid and drains both pipes
-  /// until the worker is reaped or `timeout_ms` elapses. The supervisor
-  /// calls this after Kill(SIGKILL) so long chaos soaks leak no zombies.
-  /// Returns true when the worker was reaped within the deadline.
+  /// Blocking reap with a deadline: blocks in poll(2) on the worker's
+  /// pipes and its pidfd, draining the pipes, until the worker is reaped
+  /// or `timeout_ms` elapses. The pidfd wakes the wait as soon as the
+  /// worker can be reaped; the pipes hang up earlier, while it is still
+  /// exiting, and are closed then. The supervisor calls this after
+  /// Kill(SIGKILL) so long chaos soaks leak no zombies. Returns true when
+  /// the worker was reaped within the deadline.
   bool WaitReaped(double timeout_ms);
+
+  /// Blocks in poll(2) until a result or heartbeat pipe of one of
+  /// `workers` has bytes to read or hangs up, one of them exits, or
+  /// `timeout_ms` elapses (EINTR ends the wait early too). Reads nothing:
+  /// the caller drains the pipes and reaps the workers it was woken for.
+  /// A supervisor driving several workers waits here between sweeps
+  /// instead of sleeping.
+  static void WaitForOutput(std::span<const WorkerProcess* const> workers,
+                            double timeout_ms);
 
   /// Drains available bytes from the result pipe into `result_bytes()`.
   /// Non-blocking; call from the supervisor loop and once more after the
-  /// worker is reaped (the pipe buffers the final write).
+  /// worker is reaped (the pipe buffers the final write). A pipe found at
+  /// end of file (the worker closed it or exited) is closed.
   void DrainResult();
 
   /// Drains the heartbeat pipe; returns the number of beats consumed.
+  /// Closes the pipe at end of file, as DrainResult does.
   size_t DrainHeartbeats();
 
   /// Sends `sig` to the worker (no-op once reaped). SIGKILL also reaches
@@ -136,6 +153,8 @@ class WorkerProcess {
   int command_fd_ = -1;
   int result_fd_ = -1;
   int heartbeat_fd_ = -1;
+  /// pidfd of the worker: readable once it has exited (-1: unsupported).
+  int exit_fd_ = -1;
   WorkerExit exit_;
   std::string result_;
 };

@@ -1,6 +1,7 @@
 #include "guarded/omq_eval.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "chase/chase.h"
@@ -27,6 +28,37 @@ ChaseTree BuildPortion(const Instance& db, const TgdSet& sigma,
       static_cast<int>(MaxQueryVariables(query)) + 1;
   tree_options.governor = governor;
   return BuildChaseTree(db, sigma, tree_options, engine);
+}
+
+/// The governor to evaluate the query over `tree` with. A portion the
+/// fact budget cut short is still a sub-instance of chase(D,Σ), so every
+/// answer over it is certain, but the tripped `governor` would stop the
+/// evaluation before its first answer. In that case the evaluation runs
+/// under `rest`: the request's cancel token and what is left of its
+/// deadline and node budget, with no fact cap. The result still reports
+/// the trip (the caller reads `governor`'s status), so it stays partial.
+Governor* EvaluationGovernor(const ChaseTree& tree, Governor* governor,
+                             std::optional<Governor>* rest) {
+  if (!tree.truncated) return governor;
+  const Outcome spent = governor->MakeOutcome();
+  const ExecutionBudget& budget = governor->budget();
+  if (spent.status != Status::kBudgetExceeded || budget.max_facts == 0 ||
+      spent.facts_charged <= budget.max_facts) {
+    return governor;
+  }
+  ExecutionBudget left = budget;
+  left.max_facts = 0;
+  if (left.deadline_ms > 0) {
+    // A deadline already passed trips at the first check.
+    left.deadline_ms = std::max(left.deadline_ms - spent.elapsed_ms, 1e-6);
+  }
+  if (left.max_search_nodes > 0) {
+    // Never 0, which would mean no limit.
+    left.max_search_nodes -=
+        std::min(left.max_search_nodes - 1, spent.nodes_charged);
+  }
+  rest->emplace(left);
+  return &**rest;
 }
 
 /// Certifies each reported answer with a homomorphism into a bounded
@@ -78,8 +110,11 @@ GuardedAnswersResult EvaluateGuardedCertainAnswers(
   GuardedAnswersResult result;
   ChaseTree tree = BuildPortion(db, sigma, query, governor, engine);
   result.portion_truncated = tree.truncated;
+  std::optional<Governor> rest;
   result.answers = FilterToDomain(
-      EvaluateUCQ(query, tree.portion, /*limit=*/0, governor), db);
+      EvaluateUCQ(query, tree.portion, /*limit=*/0,
+                  EvaluationGovernor(tree, governor, &rest)),
+      db);
   result.status = governor->status();
   if (options.witness.collect) {
     CertifyAnswers(db, sigma, query, options.witness, &result);
@@ -101,10 +136,12 @@ bool GuardedCertainlyHolds(const Instance& db, const TgdSet& sigma,
   GovernorScope scope(options.governor, options.budget);
   Governor* governor = scope.get();
   ChaseTree tree = BuildPortion(db, sigma, query, governor, engine);
+  std::optional<Governor> rest;
+  Governor* evaluation = EvaluationGovernor(tree, governor, &rest);
   if (options.use_tree_dp) {
-    return HoldsUcqTreeDp(query, tree.portion, answer, governor);
+    return HoldsUcqTreeDp(query, tree.portion, answer, evaluation);
   }
-  return HoldsUCQ(query, tree.portion, answer, governor);
+  return HoldsUCQ(query, tree.portion, answer, evaluation);
 }
 
 }  // namespace gqe

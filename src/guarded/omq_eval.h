@@ -46,7 +46,9 @@ struct GuardedEvalOptions {
 /// Certain answers plus the governed status of the run. When `status` is
 /// not kCompleted (or `portion_truncated` is set) the answer set is a
 /// sound *under*-approximation: every tuple reported is a certain answer
-/// over the materialized portion, but certain answers may be missing.
+/// over the materialized portion, but certain answers may be missing. A
+/// portion cut short by the fact budget is still evaluated (under the
+/// request's other limits), so such a run reports what it found.
 struct GuardedAnswersResult {
   std::vector<std::vector<Term>> answers;
   Status status = Status::kCompleted;

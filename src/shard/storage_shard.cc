@@ -6,7 +6,6 @@
 #include <chrono>
 #include <new>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "net/frame.h"
@@ -279,9 +278,11 @@ void ComputeWorkerGroups(const StorageCommand& command, const TgdSet& tgds,
 }
 
 /// Long-lived storage-worker entry point: parks in a blocking read on the
-/// command pipe, answers each kStorageCommand frame with one
-/// kStorageReply frame, exits 0 on command-pipe EOF (graceful teardown).
-/// Runs in a forked child; the return value becomes the exit code.
+/// command pipe and answers each kStorageCommand frame with one
+/// kStorageReply frame. A coordinator ending its run SIGKILLs the worker
+/// (it holds only derived state); command-pipe EOF, which is what a
+/// killed coordinator leaves behind, makes it exit 0. Runs in a forked
+/// child; the return value becomes the exit code.
 int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
                       double heartbeat_interval_ms, int command_fd,
                       int result_fd, int heartbeat_fd) {
@@ -579,11 +580,11 @@ class StorageCoordinator : public ChaseDiscoveryHook {
   /// The slot's load for this boundary: a delta when the live worker is
   /// exactly one boundary behind, a full seed from the instance otherwise
   /// (first contact under this layout, or a worker respawned after a
-  /// fault — a reseed).
+  /// fault — a reseed). Either carries the round frontier, which
+  /// SendCommand takes from `round_frontier_`.
   StorageCommand BuildLoadCommand(const ChaseDiscoveryRound& round,
                                   Slot* slot) {
     StorageCommand command;
-    command.frontier = round_delta_;
     if (slot->synced_boundary != kNotSynced &&
         slot->synced_boundary + 1 == round.round) {
       command.type = StorageCommand::Type::kDelta;
@@ -623,8 +624,11 @@ class StorageCoordinator : public ChaseDiscoveryHook {
         break;
       }
     }
-    const std::string framed =
-        EncodeFrame(FrameType::kStorageCommand, EncodeStorageCommand(*command));
+    const std::string framed = EncodeFrame(
+        FrameType::kStorageCommand,
+        fphase == StorageFault::Phase::kLoad
+            ? EncodeStorageCommand(*command, round_frontier_)
+            : EncodeStorageCommand(*command));
     if (stats_ != nullptr) stats_->exchanged_bytes += framed.size();
     if (!slot->worker.WriteCommand(framed, options_.heartbeat_timeout_ms)) {
       std::string cause = "command-timeout";
@@ -869,34 +873,39 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     }
   }
 
+  /// Puts the fleet down at once: SIGKILL every live worker, then reap
+  /// them all. A worker holds only derived state and writes nothing to
+  /// disk, so there is nothing a clean exit would save.
   void TeardownWorkers() {
-    // Graceful half first: closing the command pipe EOFs the worker's
-    // blocking read and it exits 0.
     for (Slot& slot : slots_) {
-      if (slot.running) slot.worker.CloseCommand();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    while (MsSince(start) < 200.0) {
-      bool alive = false;
-      for (Slot& slot : slots_) {
-        if (!slot.running) continue;
-        if (slot.worker.Poll()) {
-          slot.running = false;
-        } else {
-          alive = true;
-        }
-      }
-      if (!alive) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (slot.running) slot.worker.Kill(SIGKILL);
     }
     for (Slot& slot : slots_) {
       if (slot.running) {
-        slot.worker.Kill(SIGKILL);
         slot.worker.WaitReaped(2000.0);
         slot.running = false;
       }
       slot.synced_boundary = kNotSynced;
     }
+  }
+
+  /// Blocks until a worker the round waits on writes a reply or a beat
+  /// or hangs up, a backoff ends, or one heartbeat interval passes. The
+  /// interval cap is what notices a worker that stopped beating
+  /// (SIGSTOP): such a worker wakes nobody, and the governor's deadline
+  /// and the heartbeat timeout are only checked between waits.
+  void WaitForWorkers(double now) {
+    double wait_ms = options_.heartbeat_interval_ms;
+    std::vector<const WorkerProcess*> waiting;
+    for (const Slot& slot : slots_) {
+      if (slot.phase == Phase::kDone) continue;
+      if (slot.running) {
+        waiting.push_back(&slot.worker);
+      } else {
+        wait_ms = std::min(wait_ms, slot.ready_at - now);
+      }
+    }
+    WorkerProcess::WaitForOutput(waiting, wait_ms);
   }
 
   StorageShardOptions options_;
@@ -912,7 +921,8 @@ class StorageCoordinator : public ChaseDiscoveryHook {
   std::vector<uint64_t> expected_hash_;
   std::vector<uint64_t> expected_count_;
   uint64_t covered_ = 0;
-  std::vector<Atom> round_delta_;
+  /// This round's frontier (its delta), encoded once for every load.
+  std::string round_frontier_;
   std::vector<uint64_t> side_scratch_;
 };
 
@@ -947,11 +957,13 @@ bool StorageCoordinator::DiscoverRound(
     if (reshard) RecordEvent(round.round, 0, 0, "reshard");
   }
   const Instance& instance = *round.instance;
-  round_delta_.clear();
+  std::vector<Atom> delta;
+  delta.reserve(round.delta_end - round.delta_start);
   for (uint64_t g = round.delta_start; g < round.delta_end; ++g) {
-    round_delta_.push_back(instance.atom(g));
+    delta.push_back(instance.atom(g));
   }
-  if (stats_ != nullptr) stats_->shipped_facts += round_delta_.size();
+  round_frontier_ = EncodeStorageFrontier(delta);
+  if (stats_ != nullptr) stats_->shipped_facts += delta.size();
   for (uint64_t g = covered_; g < round.delta_end; ++g) {
     const uint32_t owner =
         ShardOfFact(instance, g, layout_);
@@ -1083,9 +1095,7 @@ bool StorageCoordinator::DiscoverRound(
         progressed = true;
       }
     }
-    if (remaining > 0 && !progressed) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    if (remaining > 0 && !progressed) WaitForWorkers(now);
   }
 
   Reassemble(round, found);

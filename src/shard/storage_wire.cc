@@ -47,7 +47,18 @@ bool DecodeUnits(BinaryReader* reader, std::vector<ChaseDiscoveryUnit>* out) {
 
 }  // namespace
 
+std::string EncodeStorageFrontier(const std::vector<Atom>& frontier) {
+  BinaryWriter writer;
+  EncodeAtomVector(frontier, &writer);
+  return writer.Take();
+}
+
 std::string EncodeStorageCommand(const StorageCommand& command) {
+  return EncodeStorageCommand(command, EncodeStorageFrontier(command.frontier));
+}
+
+std::string EncodeStorageCommand(const StorageCommand& command,
+                                 std::string_view encoded_frontier) {
   BinaryWriter writer;
   writer.WriteU32(static_cast<uint32_t>(command.type));
   writer.WriteU64(command.sequence);
@@ -59,7 +70,7 @@ std::string EncodeStorageCommand(const StorageCommand& command) {
   writer.WriteU64(command.seed_indexes.size());
   for (uint64_t index : command.seed_indexes) writer.WriteU64(index);
   EncodeAtomVector(command.seed_atoms, &writer);
-  EncodeAtomVector(command.frontier, &writer);
+  writer.WriteBytes(encoded_frontier);
   EncodeUnits(command.units, &writer);
   return writer.Take();
 }

@@ -101,6 +101,14 @@ struct StorageReply {
 
 /// Encodes a command / reply as a frame payload.
 std::string EncodeStorageCommand(const StorageCommand& command);
+/// The same payload bytes, with the frontier section taken from
+/// `encoded_frontier` (EncodeStorageFrontier's output) instead of
+/// encoding `command.frontier`: a coordinator encodes a round's
+/// frontier once and shares it across every shard's load command.
+std::string EncodeStorageCommand(const StorageCommand& command,
+                                 std::string_view encoded_frontier);
+/// The frontier section of a command payload.
+std::string EncodeStorageFrontier(const std::vector<Atom>& frontier);
 std::string EncodeStorageReply(const StorageReply& reply);
 
 /// Decode a frame payload. A hostile count (one the remaining bytes

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -117,6 +118,38 @@ TEST(OmqEvaluationTest, OmqHoldsAgreesWithEvaluate) {
   OmqEvalOptions with_dp;
   with_dp.use_tree_dp = true;
   EXPECT_TRUE(OmqHolds(omq, db, {C("kim")}, with_dp));
+}
+
+/// A guarded run whose portion the fact budget cuts short reports the
+/// answers it found over that portion, as partial, instead of nothing:
+/// the portion is a sub-instance of chase(D,Σ). eg2(egc3,egc3) fires the
+/// first rule, giving eg1(egc3,egc3) and eg5(egc3), so q(egc3) is certain.
+TEST(OmqEvaluationTest, TruncatedGuardedPortionReportsWhatItFound) {
+  TgdSet sigma = ParseTgds(R"(
+    eg2(X, Y), eg2(Y, X) -> eg1(X, Y), eg5(Y).
+    eg2(X, Y), eg0(Y), eg5(Y) -> eg1(Y, X), eg5(Y).
+    eg3(X, Y, Z) -> eg3(E, X, E), eg1(Y, Z).
+    eg2(X, Y), eg5(X) -> eg3(X, Y, X), eg0(X).
+    eg1(X, Y) -> eg1(E, Y), eg3(X, Y, X).
+  )");
+  ASSERT_TRUE(IsGuardedSet(sigma));
+  Instance db = ParseDatabase(
+      "eg1(egc1, egc0). eg4(egc3, egc0). eg0(egc2). eg5(egc3). eg5(egc2). "
+      "eg2(egc3, egc3). eg2(egc3, egc1).");
+  Omq omq = Omq::WithFullDataSchema(
+      sigma,
+      ParseUcq("q(QX) :- eg1(QX, QX), eg1(QX, QY), eg5(QZ), eg1(QX, QY)."));
+  OmqEvalOptions options;
+  options.budget.max_facts = 100;
+  OmqEvalResult result = EvaluateOmq(omq, db, options);
+  EXPECT_EQ(result.method, "guarded-portion");
+  EXPECT_EQ(result.status, Status::kBudgetExceeded);
+  EXPECT_TRUE(result.partial);
+  EXPECT_FALSE(result.exact);
+  const std::vector<Term> egc3 = {C("egc3")};
+  EXPECT_NE(std::find(result.answers.begin(), result.answers.end(), egc3),
+            result.answers.end());
+  EXPECT_TRUE(OmqHolds(omq, db, egc3, options));
 }
 
 TEST(OmqCheckpointTest, GuardedPathIgnoresCheckpointDir) {

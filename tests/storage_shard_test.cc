@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -702,6 +703,35 @@ TEST(StorageShardTest, CancelledRunPutsFleetDownCleanly) {
   EXPECT_FALSE(result.complete);
   ExpectNoZombies("cancelled storage run");
   Term::SetNextNullId(null_base);
+}
+
+/// A worker stalled mid-round does not hold the run past its deadline:
+/// the coordinator's waits are capped at one heartbeat interval, so it
+/// sees the deadline while the stalled worker is still within its
+/// heartbeat timeout, and it puts the fleet down with SIGKILL instead of
+/// waiting for workers to exit on their own.
+TEST(StorageShardTest, DeadlineHoldsWhileAWorkerIsStalled) {
+  TgdSet sigma = ParseTgds("ste(X, Y), ste(Y, Z) -> ste(X, Z).");
+  Instance db;
+  for (int i = 0; i < 40; ++i) {
+    db.Insert(Atom::Make("ste",
+                         {Term::Constant("stc" + std::to_string(i)),
+                          Term::Constant("stc" + std::to_string(i + 1))}));
+  }
+  StorageShardOptions storage = FastStorageOptions(4);
+  storage.faults.push_back(
+      {1, 0, 1, StorageFault::Kind::kStall, StorageFault::Phase::kDiscover});
+  ChaseOptions options;
+  options.budget.deadline_ms = 50.0;
+  const auto start = std::chrono::steady_clock::now();
+  ChaseResult result = StorageShardChase(db, sigma, options, storage);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_EQ(result.outcome.status, Status::kDeadlineExceeded);
+  EXPECT_FALSE(result.complete);
+  EXPECT_LT(elapsed_ms, 150.0);
+  ExpectNoZombies("stalled worker under a deadline");
 }
 
 }  // namespace

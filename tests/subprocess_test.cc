@@ -1,8 +1,10 @@
 // Fork-isolated worker plumbing (base/subprocess): exit-code and
 // signal-death classification, result/heartbeat pipes, setrlimit guard
-// rails (CPU and address space), and putting down a SIGSTOP'd worker
-// with SIGKILL — the primitives the serve supervisor's containment is
-// built from.
+// rails (CPU and address space), putting down a SIGSTOP'd worker with
+// SIGKILL, and the waits of a long-lived worker's supervisor (command
+// writes, reaping, watching several workers) with their deadlines — the
+// primitives the serve supervisor and the shard coordinator are built
+// from.
 
 #include <gtest/gtest.h>
 #include <errno.h>
@@ -21,6 +23,22 @@
 
 namespace gqe {
 namespace {
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Byte `i` of a command whose every byte depends on its position, so a
+/// lost, repeated or reordered chunk shows up.
+char Pattern(size_t i) { return static_cast<char>((i * 131) ^ (i >> 9)); }
+
+std::string PatternBytes(size_t size) {
+  std::string bytes(size, '\0');
+  for (size_t i = 0; i < size; ++i) bytes[i] = Pattern(i);
+  return bytes;
+}
 
 /// Polls until the worker is reaped or `timeout_ms` passes. The timeout
 /// turns a would-be hang into a test failure with the worker killed.
@@ -217,10 +235,181 @@ TEST(SubprocessTest, WaitReapedCollectsAnExitingWorker) {
       },
       &stubborn, &error))
       << error;
+  const auto wait_start = std::chrono::steady_clock::now();
   EXPECT_FALSE(stubborn.WaitReaped(30.0));
+  const double waited_ms = MsSince(wait_start);
+  EXPECT_GE(waited_ms, 30.0);
+  EXPECT_LT(waited_ms, 1000.0);
   stubborn.Kill(SIGKILL);
   EXPECT_TRUE(stubborn.WaitReaped(5000.0));
   EXPECT_TRUE(stubborn.exit_status().signaled);
+}
+
+/// A long-lived worker that reads `bytes` command bytes in small chunks,
+/// pausing every 64 reads, and exits 0 when they match `Pattern`.
+int SlowReaderBody(int command_fd, size_t bytes) {
+  char chunk[1000];
+  size_t seen = 0;
+  for (int reads = 1; seen < bytes; ++reads) {
+    const ssize_t n = ::read(command_fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return 2;  // EOF or error before the whole command
+    for (ssize_t i = 0; i < n; ++i) {
+      if (chunk[i] != Pattern(seen + static_cast<size_t>(i))) return 3;
+    }
+    seen += static_cast<size_t>(n);
+    if (reads % 64 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return 0;
+}
+
+// A command far larger than the pipe reaches a slow reader byte for byte:
+// WriteCommand waits for room each time the pipe fills.
+TEST(SubprocessTest, WriteCommandFeedsASlowReaderByteForByte) {
+  const std::string command = PatternBytes(1u << 20);
+  WorkerProcess worker;
+  std::string error;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{},
+      [](int command_fd, int, int) {
+        return SlowReaderBody(command_fd, 1u << 20);
+      },
+      &worker, &error))
+      << error;
+  EXPECT_TRUE(worker.WriteCommand(command, 10000.0));
+  ASSERT_TRUE(worker.WaitReaped(10000.0));
+  EXPECT_TRUE(worker.exit_status().exited);
+  EXPECT_EQ(worker.exit_status().exit_code, 0);
+}
+
+// A stopped worker never drains its pipe: WriteCommand gives up at its
+// deadline, not before and not long after.
+TEST(SubprocessTest, WriteCommandToAStoppedWorkerTimesOut) {
+  WorkerProcess worker;
+  std::string error;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{},
+      [](int, int, int) {
+        ::raise(SIGSTOP);
+        return 0;
+      },
+      &worker, &error))
+      << error;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(worker.WriteCommand(PatternBytes(1u << 20), 100.0));
+  const double waited_ms = MsSince(start);
+  EXPECT_GE(waited_ms, 100.0);
+  EXPECT_LT(waited_ms, 1000.0);
+  worker.Kill(SIGKILL);
+  ASSERT_TRUE(worker.WaitReaped(5000.0));
+  EXPECT_TRUE(worker.exit_status().signaled);
+}
+
+// An exited worker's pipe has no reader: WriteCommand fails at once,
+// whether the worker is reaped yet or not, and raises no SIGPIPE (this
+// test process keeps the default disposition, which would kill it).
+TEST(SubprocessTest, WriteCommandToAnExitedWorkerFailsAtOnce) {
+  std::string error;
+  WorkerProcess unreaped;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{}, [](int, int, int) { return 0; }, &unreaped, &error))
+      << error;
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(unreaped.WriteCommand(PatternBytes(1u << 20), 5000.0));
+  EXPECT_LT(MsSince(start), 1000.0);
+  ASSERT_TRUE(unreaped.WaitReaped(5000.0));
+
+  WorkerProcess reaped;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{}, [](int, int, int) { return 0; }, &reaped, &error))
+      << error;
+  ASSERT_TRUE(reaped.WaitReaped(5000.0));
+  start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(reaped.WriteCommand("one command", 5000.0));
+  EXPECT_LT(MsSince(start), 1000.0);
+
+  sigset_t pending;
+  sigemptyset(&pending);
+  ASSERT_EQ(::sigpending(&pending), 0);
+  EXPECT_EQ(sigismember(&pending, SIGPIPE), 0);
+}
+
+// WaitForOutput wakes on the first reply of any worker it watches, and
+// otherwise returns at its timeout.
+TEST(SubprocessTest, WaitForOutputWakesOnAReplyOrTheTimeout) {
+  std::string error;
+  WorkerProcess quiet;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{},
+      [](int command_fd, int, int) {
+        char byte;
+        while (::read(command_fd, &byte, 1) > 0) {
+        }
+        return 0;
+      },
+      &quiet, &error))
+      << error;
+  const WorkerProcess* watched[] = {&quiet};
+  auto start = std::chrono::steady_clock::now();
+  WorkerProcess::WaitForOutput(watched, 50.0);
+  const double idle_ms = MsSince(start);
+  EXPECT_GE(idle_ms, 50.0);
+  EXPECT_LT(idle_ms, 1000.0);
+
+  WorkerProcess replying;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{},
+      [](int result_fd, int) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return WriteAllToFd(result_fd, "reply") ? 0 : 1;
+      },
+      &replying, &error))
+      << error;
+  const WorkerProcess* both[] = {&quiet, &replying};
+  start = std::chrono::steady_clock::now();
+  WorkerProcess::WaitForOutput(both, 5000.0);
+  EXPECT_LT(MsSince(start), 1000.0);
+  ASSERT_TRUE(replying.WaitReaped(5000.0));
+  EXPECT_EQ(replying.result_bytes(), "reply");
+  quiet.Kill(SIGKILL);
+  ASSERT_TRUE(quiet.WaitReaped(5000.0));
+}
+
+// A pipe at end of file is closed when drained, so it stops waking the
+// supervisor's waits (poll(2) reports a hang-up on every call); the
+// worker's exit itself still wakes them, through its pidfd.
+TEST(SubprocessTest, AHungUpPipeStopsWakingTheWait) {
+  std::string error;
+  WorkerProcess worker;
+  ASSERT_TRUE(WorkerProcess::Spawn(
+      WorkerLimits{},
+      [](int result_fd, int heartbeat_fd) {
+        ::close(result_fd);
+        ::close(heartbeat_fd);
+        std::this_thread::sleep_for(std::chrono::seconds(60));
+        return 0;
+      },
+      &worker, &error))
+      << error;
+  const WorkerProcess* watched[] = {&worker};
+  // Wait for the first hang-up and give the worker time to close the
+  // other pipe too; then the drains find end of file on both.
+  WorkerProcess::WaitForOutput(watched, 5000.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  worker.DrainResult();
+  worker.DrainHeartbeats();
+  auto start = std::chrono::steady_clock::now();
+  WorkerProcess::WaitForOutput(watched, 50.0);
+  EXPECT_GE(MsSince(start), 50.0);
+
+  worker.Kill(SIGKILL);
+  start = std::chrono::steady_clock::now();
+  WorkerProcess::WaitForOutput(watched, 5000.0);
+  EXPECT_LT(MsSince(start), 1000.0);
+  ASSERT_TRUE(worker.WaitReaped(5000.0));
+  EXPECT_TRUE(worker.exit_status().signaled);
 }
 
 TEST(SubprocessTest, SupervisionChurnLeavesNoZombies) {

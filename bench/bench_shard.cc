@@ -5,12 +5,12 @@
 // join-heavy transitive closure, with the largest per-shard fragment and a
 // bit-identity cross-check against the in-process chase) and a
 // recovery table (one injected fault of each kind — SIGKILL, RLIMIT_AS
-// OOM, SIGSTOP stall, corrupt reply — in each protocol phase, with
-// reseed/respawn counts and recovery wall time).
+// OOM, SIGSTOP stall, corrupt reply — with reseed/respawn counts and
+// recovery wall time).
 //
 // --json: the machine-readable quick tier, written as BENCH_shard.json
-// (ns/op, facts/sec per shard count, plus recovery latency per fault
-// kind). Keys are stable across PRs.
+// (ns/op, facts/sec per shard count, each the median of several runs,
+// plus recovery latency per fault kind). Keys are stable across PRs.
 //
 // --checkpoint-dir=PATH: durable mode for the smoke script. The workload
 // is the exact deterministic transitive-closure chain bench_chase's
@@ -18,7 +18,7 @@
 // status/rounds/facts/CRC-32 — must be byte-identical to bench_chase's
 // for the same n, at any --shards=N, after any injected fault
 // (--chaos-kill/--chaos-oom/--chaos-stall/--chaos-corrupt=BOUNDARY:SHARD,
-// pinned to a protocol phase with --chaos-phase=load|discover), across
+// fired on that shard's command for that round), across
 // mid-run resharding (--reshard-at=ROUND --reshard-to=N), and across a
 // kill -9 + resume with a different shard count. That invariance is what
 // scripts/storage_shard_smoke.sh diffs.
@@ -123,8 +123,8 @@ void PrintStorageScaling() {
       "E7c: storage partitioning (per-shard fragments, owner exchange)");
 }
 
-/// Storage-shard loss recovery: one injected fault of each kind in each
-/// protocol phase, with reseed counts and recovery wall time.
+/// Storage-shard loss recovery: one injected fault of each kind, with
+/// reseed counts and recovery wall time.
 void PrintStorageRecovery() {
   Instance db = ChainDatabase(40);
   TgdSet sigma = TransitiveClosure();
@@ -134,39 +134,36 @@ void PrintStorageRecovery() {
   chase_options.budget = g_budget;
   ChaseResult reference = Chase(db, sigma, chase_options);
 
-  ReportTable table({"fault", "phase", "chase ms", "recovery ms",
-                     "reseeds", "respawns", "identical"});
-  const StorageFault::Kind kinds[] = {
-      StorageFault::Kind::kKill, StorageFault::Kind::kOom,
-      StorageFault::Kind::kStall, StorageFault::Kind::kCorrupt};
-  for (StorageFault::Phase phase :
-       {StorageFault::Phase::kLoad, StorageFault::Phase::kDiscover}) {
-    for (StorageFault::Kind kind : kinds) {
-      StorageShardOptions options = BenchStorageOptions(4);
-      options.heartbeat_timeout_ms = 250.0;  // stalls resolve quickly
-      options.faults.push_back({1, 0, 1, kind, phase});
+  ReportTable table({"fault", "chase ms", "recovery ms", "reseeds",
+                     "respawns", "identical"});
+  for (StorageFault::Kind kind :
+       {StorageFault::Kind::kKill, StorageFault::Kind::kOom,
+        StorageFault::Kind::kStall, StorageFault::Kind::kCorrupt}) {
+    StorageShardOptions options = BenchStorageOptions(4);
+    options.heartbeat_timeout_ms = 250.0;  // stalls resolve quickly
+    options.faults.push_back({1, 0, 1, kind});
 
-      Term::SetNextNullId(null_base);
-      StorageShardStats stats;
-      Stopwatch watch;
-      ChaseResult result =
-          StorageShardChase(db, sigma, chase_options, options, &stats);
-      const double ms = watch.ElapsedMs();
-      g_watchdog.Record(std::string("storage chaos ") +
-                            StorageFaultKindName(kind) + "/" +
-                            StorageFaultPhaseName(phase),
-                        result.outcome);
-      table.AddRow({StorageFaultKindName(kind), StorageFaultPhaseName(phase),
-                    ReportTable::Cell(ms),
-                    ReportTable::Cell(stats.recovery_ms),
-                    ReportTable::Cell(stats.reseeds),
-                    ReportTable::Cell(stats.respawns),
-                    ReportTable::Cell(SameInstance(result, reference))});
-    }
+    Term::SetNextNullId(null_base);
+    StorageShardStats stats;
+    Stopwatch watch;
+    ChaseResult result =
+        StorageShardChase(db, sigma, chase_options, options, &stats);
+    const double ms = watch.ElapsedMs();
+    g_watchdog.Record(
+        std::string("storage chaos ") + StorageFaultKindName(kind),
+        result.outcome);
+    table.AddRow({StorageFaultKindName(kind), ReportTable::Cell(ms),
+                  ReportTable::Cell(stats.recovery_ms),
+                  ReportTable::Cell(stats.reseeds),
+                  ReportTable::Cell(stats.respawns),
+                  ReportTable::Cell(SameInstance(result, reference))});
   }
   Term::SetNextNullId(null_base);
   table.Print("E7d: storage-shard loss recovery (4 shards)");
 }
+
+/// Runs per storage_tc/40 row in --json mode.
+constexpr int kJsonRepeats = 5;
 
 int RunJsonBench() {
   BenchJson json("shard", g_json);
@@ -176,50 +173,62 @@ int RunJsonBench() {
   chase_options.budget = g_budget;
   const uint32_t null_base = Term::NextNullId();
 
-  // Storage partitioning: wall time per shard count, plus the memory
-  // story — the largest per-shard fragment at 8 shards against the whole
-  // instance in one process.
+  // Storage partitioning: wall time per shard count against the
+  // in-process chase of the same input (the baseline every shard count is
+  // measured against), plus the memory story — the largest per-shard
+  // fragment at 8 shards against the whole instance in one process. Each
+  // row is the median of kJsonRepeats runs. Repetitions alternate whether
+  // the in-process row runs before or after the sharded rows, so the
+  // cold heap of the process's first chase lands on no one row.
+  const std::vector<int> shard_counts = {1, 2, 4, 8};
+  std::vector<std::vector<double>> sharded_ms(shard_counts.size());
+  std::vector<double> in_process_ms;
   size_t total_facts = 0;
-  for (int shards : {1, 2, 4, 8}) {
-    const std::string key = "storage_tc/40/s" + std::to_string(shards);
-    Term::SetNextNullId(null_base);
-    StorageShardStats stats;
-    Stopwatch watch;
-    ChaseResult result = StorageShardChase(db, sigma, chase_options,
-                                           BenchStorageOptions(shards),
-                                           &stats);
-    const double ms = watch.ElapsedMs();
-    g_watchdog.Record(key, result.outcome);
-    total_facts = result.instance.size();
-    const double facts = static_cast<double>(result.instance.size());
-    json.Add(key, ms * 1e6, facts * 1e3 / ms);
-    std::printf("%-20s %12.0f ns/op  %10.0f facts/s  fragment=%zu\n",
-                key.c_str(), ms * 1e6, facts * 1e3 / ms,
-                stats.max_fragment_facts);
-    if (shards == 8) {
-      json.Meta("storage_s8_max_fragment_facts",
-                static_cast<double>(stats.max_fragment_facts));
-    }
-  }
-  // The in-process chase of the same input: the baseline every shard
-  // count is measured against. Timed after the sharded rows, so like
-  // them it runs on a warm heap.
-  {
+  size_t s8_max_fragment = 0;
+  auto time_in_process = [&] {
     Term::SetNextNullId(null_base);
     Stopwatch watch;
     ChaseResult result = Chase(db, sigma, chase_options);
-    const double ms = watch.ElapsedMs();
-    const double facts = static_cast<double>(result.instance.size());
-    json.Add("storage_tc/40/in_process", ms * 1e6, facts * 1e3 / ms);
-    std::printf("%-20s %12.0f ns/op  %10.0f facts/s\n",
-                "storage_tc/40/in_process", ms * 1e6, facts * 1e3 / ms);
+    in_process_ms.push_back(watch.ElapsedMs());
+  };
+  for (int rep = 0; rep < kJsonRepeats; ++rep) {
+    if (rep % 2 == 0) time_in_process();
+    for (size_t i = 0; i < shard_counts.size(); ++i) {
+      const int shards = shard_counts[i];
+      Term::SetNextNullId(null_base);
+      StorageShardStats stats;
+      Stopwatch watch;
+      ChaseResult result = StorageShardChase(db, sigma, chase_options,
+                                             BenchStorageOptions(shards),
+                                             &stats);
+      sharded_ms[i].push_back(watch.ElapsedMs());
+      g_watchdog.Record("storage_tc/40/s" + std::to_string(shards),
+                        result.outcome);
+      total_facts = result.instance.size();
+      if (shards == 8) s8_max_fragment = stats.max_fragment_facts;
+    }
+    if (rep % 2 == 1) time_in_process();
   }
+  const double facts = static_cast<double>(total_facts);
+  auto add_row = [&](const std::string& key,
+                     const std::vector<double>& samples) {
+    const double ms = MedianMs(samples);
+    json.Add(key, ms * 1e6, facts * 1e3 / ms);
+    std::printf("%-24s %12.0f ns/op  %10.0f facts/s  (median of %zu)\n",
+                key.c_str(), ms * 1e6, facts * 1e3 / ms, samples.size());
+  };
+  for (size_t i = 0; i < shard_counts.size(); ++i) {
+    add_row("storage_tc/40/s" + std::to_string(shard_counts[i]),
+            sharded_ms[i]);
+  }
+  add_row("storage_tc/40/in_process", in_process_ms);
+  json.Meta("storage_s8_max_fragment_facts",
+            static_cast<double>(s8_max_fragment));
 
   json.Meta("storage_total_facts", static_cast<double>(total_facts));
   json.Meta("single_process_rss_kb", static_cast<double>(PeakRssKb()));
 
-  // Storage-shard loss recovery per fault kind (discover phase — the
-  // fragile window between a shard's ack and the round commit).
+  // Storage-shard loss recovery per fault kind, on boundary 1's command.
   for (StorageFault::Kind kind :
        {StorageFault::Kind::kKill, StorageFault::Kind::kOom,
         StorageFault::Kind::kStall, StorageFault::Kind::kCorrupt}) {
@@ -227,8 +236,7 @@ int RunJsonBench() {
         std::string("storage_recovery/") + StorageFaultKindName(kind);
     StorageShardOptions options = BenchStorageOptions(4);
     options.heartbeat_timeout_ms = 250.0;
-    options.faults.push_back(
-        {1, 0, 1, kind, StorageFault::Phase::kDiscover});
+    options.faults.push_back({1, 0, 1, kind});
     Term::SetNextNullId(null_base);
     StorageShardStats stats;
     Stopwatch watch;
@@ -252,8 +260,8 @@ int RunJsonBench() {
 /// Durable storage-partitioned mode for scripts/storage_shard_smoke.sh:
 /// the same deterministic chain chase, fact store hash-partitioned
 /// across long-lived workers, resumable from --checkpoint-dir (the only
-/// durable state), with phase-pinned injected faults
-/// and optional mid-run resharding. Same "final:" line as bench_chase.
+/// durable state), with injected faults and optional mid-run
+/// resharding. Same "final:" line as bench_chase.
 int RunDurableStorageChase() {
   Instance db = ChainDatabase(g_durable_n);
   TgdSet sigma = TransitiveClosure();
@@ -330,26 +338,9 @@ int ParseIntFlag(int* argc, char** argv, const char* name, int default_value) {
   return value;
 }
 
-std::string ParseStringFlag(int* argc, char** argv, const char* name) {
-  const std::string prefix = std::string(name) + "=";
-  std::string value;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      value = arg.substr(prefix.size());
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return value;
-}
-
 /// --chaos-kill=BOUNDARY:SHARD (and -oom/-stall/-corrupt), repeatable; each
-/// injects one fault on attempt 1 of that (boundary, shard), in `phase`.
-std::vector<StorageFault> ParseChaosFlags(int* argc, char** argv,
-                                          StorageFault::Phase phase) {
+/// injects one fault on attempt 1 of that (boundary, shard).
+std::vector<StorageFault> ParseChaosFlags(int* argc, char** argv) {
   struct KindFlag {
     const char* prefix;
     StorageFault::Kind kind;
@@ -371,7 +362,6 @@ std::vector<StorageFault> ParseChaosFlags(int* argc, char** argv,
       const size_t colon = spec.find(':');
       StorageFault fault;
       fault.kind = flag.kind;
-      fault.phase = phase;
       fault.boundary = std::strtoull(spec.c_str(), nullptr, 10);
       fault.shard = colon == std::string::npos
                         ? 0
@@ -399,11 +389,7 @@ int main(int argc, char** argv) {
   gqe::g_shards = gqe::ParseIntFlag(&argc, argv, "--shards", 1);
   gqe::g_reshard_at = gqe::ParseIntFlag(&argc, argv, "--reshard-at", -1);
   gqe::g_reshard_to = gqe::ParseIntFlag(&argc, argv, "--reshard-to", 0);
-  const gqe::StorageFault::Phase chaos_phase =
-      gqe::ParseStringFlag(&argc, argv, "--chaos-phase") == "load"
-          ? gqe::StorageFault::Phase::kLoad
-          : gqe::StorageFault::Phase::kDiscover;
-  gqe::g_chaos = gqe::ParseChaosFlags(&argc, argv, chaos_phase);
+  gqe::g_chaos = gqe::ParseChaosFlags(&argc, argv);
   if (argc > 1) {
     // Reject a flag this bench does not take rather than ignore it.
     std::fprintf(stderr, "bench_shard: unknown argument '%s'\n", argv[1]);

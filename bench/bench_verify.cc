@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -130,12 +129,6 @@ void BM_VerifyHomomorphisms(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(witnesses.size());
 }
 BENCHMARK(BM_VerifyHomomorphisms)->Arg(16)->Arg(32)->Arg(64);
-
-double MedianMs(const std::vector<double>& samples) {
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted[sorted.size() / 2];
-}
 
 template <typename Fn>
 double TimeMs(Fn&& fn, int repeats = 5) {

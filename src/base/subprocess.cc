@@ -176,6 +176,25 @@ bool WriteAllToFd(int fd, std::string_view data, int* errno_out) {
 
 bool IsPeerGoneErrno(int err) { return err == EPIPE || err == ECONNRESET; }
 
+std::string SignalCauseName(int sig) {
+  switch (sig) {
+    case SIGKILL:
+      return "sigkill";
+    case SIGSEGV:
+      return "sigsegv";
+    case SIGBUS:
+      return "sigbus";
+    case SIGABRT:
+      return "sigabrt";
+    case SIGXCPU:
+      return "cpu-limit";
+    case SIGTERM:
+      return "sigterm";
+    default:
+      return "signal:" + std::to_string(sig);
+  }
+}
+
 WorkerProcess::WorkerProcess(WorkerProcess&& other) noexcept {
   *this = std::move(other);
 }

@@ -43,6 +43,12 @@ struct WorkerExit {
   int term_signal = 0;
 };
 
+/// The death cause of a worker killed by `sig`, shared by every
+/// supervisor so operators see one vocabulary: "sigkill", "sigsegv",
+/// "sigbus", "sigabrt", "sigterm", "cpu-limit" (SIGXCPU), and
+/// "signal:<n>" for any other signal.
+std::string SignalCauseName(int sig);
+
 /// A fork-isolated worker process plus the two pipes the supervisor reads:
 /// `result_fd` carries the worker's serialized result (written once,
 /// before exit) and `heartbeat_fd` carries liveness bytes. Both parent

@@ -26,6 +26,12 @@ namespace {
 /// Seed of the retry backoff's deterministic jitter.
 constexpr uint64_t kJitterSeed = 1;
 
+/// The degradation ladder's budget: each caps the request's own budget
+/// (an unset request limit is capped too).
+constexpr size_t kDegradedMaxFacts = 20000;
+constexpr uint64_t kDegradedMaxNodes = 500000;
+constexpr double kDegradedDeadlineMs = 2000.0;
+
 // Deterministic, order-independent chaos and jitter draws on top of the
 // shared Mix64 (base/subprocess.h): every (request id, attempt) pair gets
 // its own stream, so concurrent scheduling cannot reorder the randomness.
@@ -54,25 +60,6 @@ std::string SanitizeId(const std::string& id) {
     out.push_back(keep ? c : '_');
   }
   return out.empty() ? "request" : out;
-}
-
-std::string SignalCauseName(int sig) {
-  switch (sig) {
-    case SIGKILL:
-      return "sigkill";
-    case SIGSEGV:
-      return "sigsegv";
-    case SIGBUS:
-      return "sigbus";
-    case SIGABRT:
-      return "sigabrt";
-    case SIGXCPU:
-      return "cpu-limit";
-    case SIGTERM:
-      return "sigterm";
-    default:
-      return "signal:" + std::to_string(sig);
-  }
 }
 
 bool PermanentExitCode(int code) {
@@ -436,20 +423,15 @@ class ServeEngine::Impl {
 
   ExecutionBudget DegradedBudget(const ExecutionBudget& base) const {
     ExecutionBudget budget = base;
-    if (options_.degraded_max_facts > 0 &&
-        (budget.max_facts == 0 ||
-         budget.max_facts > options_.degraded_max_facts)) {
-      budget.max_facts = options_.degraded_max_facts;
+    if (budget.max_facts == 0 || budget.max_facts > kDegradedMaxFacts) {
+      budget.max_facts = kDegradedMaxFacts;
     }
-    if (options_.degraded_max_nodes > 0 &&
-        (budget.max_search_nodes == 0 ||
-         budget.max_search_nodes > options_.degraded_max_nodes)) {
-      budget.max_search_nodes = options_.degraded_max_nodes;
+    if (budget.max_search_nodes == 0 ||
+        budget.max_search_nodes > kDegradedMaxNodes) {
+      budget.max_search_nodes = kDegradedMaxNodes;
     }
-    if (options_.degraded_deadline_ms > 0 &&
-        (budget.deadline_ms == 0 ||
-         budget.deadline_ms > options_.degraded_deadline_ms)) {
-      budget.deadline_ms = options_.degraded_deadline_ms;
+    if (budget.deadline_ms == 0 || budget.deadline_ms > kDegradedDeadlineMs) {
+      budget.deadline_ms = kDegradedDeadlineMs;
     }
     return budget;
   }
@@ -469,7 +451,6 @@ class ServeEngine::Impl {
     invocation.request = job.request;
     invocation.attempt = job.attempt_number;
     invocation.degraded = job.degraded_phase;
-    invocation.degraded_fallback_level = options_.degraded_fallback_level;
     invocation.heartbeat_interval_ms = options_.heartbeat_interval_ms;
     invocation.collect_witness = options_.verify;
     // Verify mode: the worker evaluates the supervisor's own parse (map

@@ -77,14 +77,12 @@ struct ServeOptions {
   ChaosConfig chaos;
 
   /// Graceful degradation after the exact retry budget: up to
-  /// `degraded_attempts` runs under the tighter degraded_* budget
-  /// (answers flagged inexact), and only then a structured FAILED row.
+  /// `degraded_attempts` runs under a tighter fixed budget (20000 facts,
+  /// 500000 search nodes, 2 s; OMQ falls back to a level-3 bounded
+  /// chase), answers flagged inexact, and only then a structured FAILED
+  /// row.
   bool enable_degraded_ladder = true;
   int degraded_attempts = 2;
-  size_t degraded_max_facts = 20000;
-  uint64_t degraded_max_nodes = 500000;
-  double degraded_deadline_ms = 2000.0;
-  int degraded_fallback_level = 3;
 
   /// Durable serving (--journal-dir): every admission, finished attempt
   /// and terminal result is appended to a write-ahead journal under this

@@ -31,6 +31,9 @@ namespace {
 constexpr size_t kOomFaultLimitBytes = 64ull << 20;
 constexpr size_t kOomFaultProbeBytes = 128ull << 20;
 
+/// Bounded-chase level an OMQ falls back to on a degraded-ladder attempt.
+constexpr int kDegradedFallbackLevel = 3;
+
 void ApplyPreEvalFault(const FaultSpec& fault) {
   switch (fault.type) {
     case FaultSpec::Type::kExit:
@@ -215,7 +218,7 @@ int EvaluateRequest(const WorkerInvocation& invocation,
         options.checkpoint_dir = invocation.checkpoint_dir;
         options.witness.collect = collect;
         if (invocation.degraded) {
-          options.fallback_chase_level = invocation.degraded_fallback_level;
+          options.fallback_chase_level = kDegradedFallbackLevel;
         }
         OmqEvalResult eval = EvaluateOmq(omq, program.database, options);
         if (!eval.exact || eval.partial) exact = false;

@@ -89,11 +89,10 @@ struct WorkerInvocation {
   EvalRequest request;
   int attempt = 1;
   /// Degradation-ladder attempt: evaluation runs under the (smaller)
-  /// budget already folded into request.budget by the supervisor and the
-  /// result is marked degraded / not exact.
+  /// budget already folded into request.budget by the supervisor, OMQ
+  /// falls back to a level-3 bounded chase, and the result is marked
+  /// degraded / not exact.
   bool degraded = false;
-  /// OMQ bounded-chase fallback level used for degraded attempts.
-  int degraded_fallback_level = 4;
   /// Per-request checkpoint directory (chase + omq resume). Empty = no
   /// checkpointing (then every retry recomputes from scratch).
   std::string checkpoint_dir;

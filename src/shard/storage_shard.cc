@@ -15,16 +15,16 @@ namespace gqe {
 
 namespace {
 
-/// Storage-worker exit codes, aligned with serve/worker.h so operators
-/// see one vocabulary.
+/// Storage-worker exit codes. The ones a serve worker also has carry its
+/// numbers (serve/worker.h: 12 oom, 13 write error, 14 reader gone).
 constexpr int kStorageExitOk = 0;
-constexpr int kStorageExitWriteError = 3;
-constexpr int kStorageExitPeerGone = 4;
+constexpr int kStorageExitOom = 12;
+constexpr int kStorageExitWriteError = 13;
+constexpr int kStorageExitPeerGone = 14;
 /// The command stream failed to decode — the coordinator is insane or the
 /// pipe is garbage; for a long-lived worker both mean "exit, let the
 /// coordinator's death classification take over".
-constexpr int kStorageExitProtocol = 5;
-constexpr int kStorageExitOom = 12;
+constexpr int kStorageExitProtocol = 15;
 
 /// Payload cap of one pipe frame. Far above any real exchange; its only
 /// job is making a garbage length prefix a detected protocol failure
@@ -55,12 +55,12 @@ uint32_t OwnerOfAtom(const Atom& atom, uint32_t num_shards) {
       num_shards);
 }
 
-/// One step of the acknowledged-ownership-manifest fold. Folding the
+/// One step of the ownership-manifest fold. Folding the
 /// (content hash, global index) pairs of a shard's owned facts in
 /// ascending index order gives a fingerprint both sides compute
 /// independently: the coordinator over its instance prefix, the worker
-/// over its fragment. An ack whose (count, hash) disagrees is rejected
-/// before the fragment is ever trusted for discovery.
+/// over its fragment as facts arrive. A reply whose (count, hash)
+/// disagrees is rejected before its candidates are looked at.
 uint64_t FoldManifest(uint64_t h, uint64_t content_hash,
                       uint64_t global_index) {
   return Mix64(h ^ Mix64(content_hash ^ global_index));
@@ -198,32 +198,31 @@ bool AllGroundSidesPresent(const Instance& instance,
 
 /// A storage worker's in-memory fragment: the owned facts as a real
 /// Instance (so discovery gets the same inverted indexes the engine has)
-/// plus the local→global index map and the replicated round frontier.
+/// plus the local→global index map, the ownership manifest hash and the
+/// replicated round frontier.
 struct WorkerState {
   Instance fragment;
   std::vector<uint64_t> to_global;
+  /// FoldManifest over the fragment so far. Facts only ever append, in
+  /// ascending global index, so folding each as it arrives gives the
+  /// value a walk over the whole fragment would.
+  uint64_t manifest_hash = 0;
   std::vector<Atom> frontier;
   uint64_t boundary = 0;
-  uint64_t delta_start = 0;
   uint64_t delta_end = 0;
   bool loaded = false;
 
-  bool Append(const Atom& atom, uint64_t global_index) {
-    if (!fragment.Insert(atom)) return false;
+  void Append(const Atom& atom, uint64_t global_index) {
+    if (!fragment.Insert(atom)) return;
     to_global.push_back(global_index);
-    return true;
-  }
-
-  uint64_t ManifestHash() const {
-    uint64_t h = 0;
-    for (uint32_t i = 0; i < fragment.size(); ++i) {
-      h = FoldManifest(h, fragment.store().hash(i), to_global[i]);
-    }
-    return h;
+    manifest_hash = FoldManifest(
+        manifest_hash,
+        fragment.store().hash(static_cast<uint32_t>(fragment.size() - 1)),
+        global_index);
   }
 };
 
-/// Computes this shard's candidate groups for a discovery command:
+/// Computes this shard's candidate groups for the round's units:
 /// anchored units only, cases A and B only (the coordinator owns full
 /// passes and multi-free-side joins). Groups come out in strictly
 /// increasing (unit, fact) order because the loops run in that order.
@@ -279,10 +278,11 @@ void ComputeWorkerGroups(const StorageCommand& command, const TgdSet& tgds,
 
 /// Long-lived storage-worker entry point: parks in a blocking read on the
 /// command pipe and answers each kStorageCommand frame with one
-/// kStorageReply frame. A coordinator ending its run SIGKILLs the worker
-/// (it holds only derived state); command-pipe EOF, which is what a
-/// killed coordinator leaves behind, makes it exit 0. Runs in a forked
-/// child; the return value becomes the exit code.
+/// kStorageReply frame: it applies the load, then replies with its
+/// manifest and the round's candidates. A coordinator ending its run
+/// SIGKILLs the worker (it holds only derived state); command-pipe EOF,
+/// which is what a killed coordinator leaves behind, makes it exit 0.
+/// Runs in a forked child; the return value becomes the exit code.
 int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
                       double heartbeat_interval_ms, int command_fd,
                       int result_fd, int heartbeat_fd) {
@@ -330,56 +330,33 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
     reply.shard = shard;
     reply.num_shards = num_shards;
 
-    switch (command.type) {
-      case StorageCommand::Type::kSeed: {
-        state = WorkerState{};
-        for (size_t i = 0; i < command.seed_atoms.size(); ++i) {
-          state.Append(command.seed_atoms[i], command.seed_indexes[i]);
-        }
-        state.frontier = std::move(command.frontier);
-        state.boundary = command.boundary;
-        state.delta_start = command.delta_start;
-        state.delta_end = command.delta_end;
-        state.loaded = true;
-        break;
+    if (command.type == StorageCommand::Type::kSeed) {
+      state = WorkerState{};
+      for (size_t i = 0; i < command.seed_atoms.size(); ++i) {
+        state.Append(command.seed_atoms[i], command.seed_indexes[i]);
       }
-      case StorageCommand::Type::kDelta: {
-        if (!state.loaded || state.delta_end != command.delta_start ||
-            state.boundary + 1 != command.boundary) {
-          reply.ok = false;
-          reply.error = "delta-gap";
-          break;
-        }
-        for (size_t i = 0; i < command.frontier.size(); ++i) {
-          const Atom& atom = command.frontier[i];
-          if (OwnerOfAtom(atom, num_shards) != shard) continue;
-          state.Append(atom, command.delta_start + i);
-        }
-        state.frontier = std::move(command.frontier);
-        state.boundary = command.boundary;
-        state.delta_start = command.delta_start;
-        state.delta_end = command.delta_end;
-        break;
-      }
-      case StorageCommand::Type::kDiscover: {
-        if (!state.loaded || state.boundary != command.boundary ||
-            state.delta_start != command.delta_start ||
-            state.delta_end != command.delta_end) {
-          reply.ok = false;
-          reply.error = "discover-before-load";
-        } else {
-          reply.type = StorageReply::Type::kCandidates;
-          ComputeWorkerGroups(command, *tgds, shard, state, &reply.groups);
-        }
-        break;
+      state.loaded = true;
+    } else if (!state.loaded || state.delta_end != command.delta_start ||
+               state.boundary + 1 != command.boundary) {
+      reply.ok = false;
+      reply.error = "delta-gap";
+    } else {
+      for (size_t i = 0; i < command.frontier.size(); ++i) {
+        const Atom& atom = command.frontier[i];
+        if (OwnerOfAtom(atom, num_shards) != shard) continue;
+        state.Append(atom, command.delta_start + i);
       }
     }
 
-    if (command.type != StorageCommand::Type::kDiscover && reply.ok) {
-      // Every successful load is acked with the fragment's ownership
-      // manifest, which the coordinator checks before trusting it.
+    if (reply.ok) {
+      // A loaded fragment answers with its ownership manifest, which the
+      // coordinator checks before it looks at the candidates.
+      state.frontier = std::move(command.frontier);
+      state.boundary = command.boundary;
+      state.delta_end = command.delta_end;
       reply.fragment_count = state.fragment.size();
-      reply.fragment_hash = state.ManifestHash();
+      reply.fragment_hash = state.manifest_hash;
+      ComputeWorkerGroups(command, *tgds, shard, state, &reply.groups);
     }
 
     std::string out =
@@ -402,24 +379,13 @@ int StorageWorkerBody(const TgdSet* tgds, uint32_t shard, uint32_t num_shards,
 }
 
 std::string StorageDeathCause(const WorkerExit& exit) {
-  if (exit.signaled) {
-    switch (exit.term_signal) {
-      case SIGKILL:
-        return "sigkill";
-      case SIGXCPU:
-        return "cpu-limit";
-      case SIGSEGV:
-        return "sigsegv";
-      default:
-        return "signal-" + std::to_string(exit.term_signal);
-    }
-  }
+  if (exit.signaled) return SignalCauseName(exit.term_signal);
   if (exit.exited) {
     if (exit.exit_code == kStorageExitOom) return "oom";
     if (exit.exit_code == kStorageExitWriteError) return "write-failed";
     if (exit.exit_code == kStorageExitPeerGone) return "coordinator-gone";
     if (exit.exit_code == kStorageExitProtocol) return "protocol-error";
-    return "exit-" + std::to_string(exit.exit_code);
+    return "exit:" + std::to_string(exit.exit_code);
   }
   return "reaped-unknown";
 }
@@ -432,7 +398,7 @@ std::string StorageDeathCause(const WorkerExit& exit) {
 constexpr uint64_t kNotSynced = ~0ull;
 
 /// The storage-shard coordinator: owns the long-lived worker fleet, the
-/// acknowledged ownership manifests and the one recovery path — a failed
+/// expected ownership manifests and the one recovery path — a failed
 /// worker is killed, respawned after a backoff and reseeded from the
 /// coordinator's instance, up to the retry budget; past it the shard's
 /// slice is computed inline or the run stops with kShardLost. The
@@ -456,13 +422,12 @@ class StorageCoordinator : public ChaseDiscoveryHook {
                      std::vector<std::vector<Substitution>>* found) override;
 
  private:
-  /// Per-round slot protocol: load (seed/delta) then discover,
-  /// each a strict request-reply exchange.
+  /// Per-round slot protocol: one strict request-reply exchange, a load
+  /// (seed/delta) carrying the round's units, answered with the manifest
+  /// and the candidates.
   enum class Phase : int {
     kNeedLoad,
-    kLoadWait,
-    kNeedDiscover,
-    kDiscoverWait,
+    kAwaitReply,
     kDone,
   };
 
@@ -495,12 +460,12 @@ class StorageCoordinator : public ChaseDiscoveryHook {
   }
 
   bool TakeFault(uint64_t boundary, uint32_t shard, int attempt,
-                 StorageFault::Kind kind, StorageFault::Phase phase) {
+                 StorageFault::Kind kind) {
     for (size_t i = 0; i < options_.faults.size(); ++i) {
       const StorageFault& fault = options_.faults[i];
       if (!fault_used_[i] && fault.boundary == boundary &&
           fault.shard == shard && fault.attempt == attempt &&
-          fault.kind == kind && fault.phase == phase) {
+          fault.kind == kind) {
         fault_used_[i] = true;
         return true;
       }
@@ -581,7 +546,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
   /// exactly one boundary behind, a full seed from the instance otherwise
   /// (first contact under this layout, or a worker respawned after a
   /// fault — a reseed). Either carries the round frontier, which
-  /// SendCommand takes from `round_frontier_`.
+  /// SendCommand takes from `round_frontier_`, and the round's units.
   StorageCommand BuildLoadCommand(const ChaseDiscoveryRound& round,
                                   Slot* slot) {
     StorageCommand command;
@@ -613,22 +578,18 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     command->num_shards = layout_;
     command->delta_start = round.delta_start;
     command->delta_end = round.delta_end;
-    const StorageFault::Phase fphase = slot->phase == Phase::kNeedLoad
-                                           ? StorageFault::Phase::kLoad
-                                           : StorageFault::Phase::kDiscover;
+    command->units = *round.units;
     for (StorageFault::Kind kind :
          {StorageFault::Kind::kKill, StorageFault::Kind::kStall,
           StorageFault::Kind::kOom, StorageFault::Kind::kCorrupt}) {
-      if (TakeFault(round.round, slot->shard, slot->attempts, kind, fphase)) {
+      if (TakeFault(round.round, slot->shard, slot->attempts, kind)) {
         command->inject_fault = static_cast<int32_t>(kind);
         break;
       }
     }
-    const std::string framed = EncodeFrame(
-        FrameType::kStorageCommand,
-        fphase == StorageFault::Phase::kLoad
-            ? EncodeStorageCommand(*command, round_frontier_)
-            : EncodeStorageCommand(*command));
+    const std::string framed =
+        EncodeFrame(FrameType::kStorageCommand,
+                    EncodeStorageCommand(*command, round_frontier_));
     if (stats_ != nullptr) stats_->exchanged_bytes += framed.size();
     if (!slot->worker.WriteCommand(framed, options_.heartbeat_timeout_ms)) {
       std::string cause = "command-timeout";
@@ -645,12 +606,11 @@ class StorageCoordinator : public ChaseDiscoveryHook {
       return false;
     }
     slot->await_sequence = command->sequence;
-    slot->phase = slot->phase == Phase::kNeedLoad ? Phase::kLoadWait
-                                                  : Phase::kDiscoverWait;
+    slot->phase = Phase::kAwaitReply;
     return true;
   }
 
-  /// Validates a candidates reply against the coordinator's own view:
+  /// Validates a reply's candidates against the coordinator's own view:
   /// strictly increasing owned (unit, fact) groups, shapes the worker was
   /// allowed to answer (cases A/B), and every candidate side fact really
   /// matching. A reply failing any of it is a recoverable shard fault.
@@ -711,7 +671,9 @@ class StorageCoordinator : public ChaseDiscoveryHook {
     return true;
   }
 
-  /// Processes one reply payload. Returns false when the slot was failed.
+  /// Processes one reply payload: its sequence, then the load's outcome,
+  /// then the manifest (bad-ack), then the candidates (bad-reply).
+  /// Returns false when the slot was failed.
   bool HandleReply(const ChaseDiscoveryRound& round, Slot* slot,
                    std::string_view payload, double now, size_t* remaining) {
     StorageReply reply;
@@ -728,41 +690,28 @@ class StorageCoordinator : public ChaseDiscoveryHook {
       FailSlot(round, slot, now, "bad-reply");
       return false;
     }
-    if (slot->phase == Phase::kLoadWait) {
-      if (reply.type != StorageReply::Type::kAck) {
-        if (stats_ != nullptr) ++stats_->corrupt_replies;
-        FailSlot(round, slot, now, "bad-reply");
-        return false;
-      }
-      if (!reply.ok) {
-        // The worker judged its fragment unusable (a delta that does not
-        // continue it): replace the worker, and the respawn is reseeded.
-        FailSlot(round, slot, now, "load-failed");
-        return false;
-      }
-      if (reply.fragment_count != expected_count_[slot->shard] ||
-          reply.fragment_hash != expected_hash_[slot->shard]) {
-        if (stats_ != nullptr) ++stats_->bad_acks;
-        FailSlot(round, slot, now, "bad-ack");
-        return false;
-      }
-      slot->synced_boundary = round.round;
-      if (stats_ != nullptr) {
-        stats_->max_fragment_facts =
-            std::max(stats_->max_fragment_facts,
-                     static_cast<size_t>(reply.fragment_count));
-      }
-      slot->phase = Phase::kNeedDiscover;
-      return true;
+    if (!reply.ok) {
+      // The worker judged its fragment unusable (a delta that does not
+      // continue it): replace the worker, and the respawn is reseeded.
+      FailSlot(round, slot, now, "load-failed");
+      return false;
     }
-    // kDiscoverWait.
-    if (reply.type != StorageReply::Type::kCandidates || !reply.ok ||
-        !ValidateGroups(round, slot->shard, reply)) {
+    if (reply.fragment_count != expected_count_[slot->shard] ||
+        reply.fragment_hash != expected_hash_[slot->shard]) {
+      if (stats_ != nullptr) ++stats_->bad_acks;
+      FailSlot(round, slot, now, "bad-ack");
+      return false;
+    }
+    if (!ValidateGroups(round, slot->shard, reply)) {
       if (stats_ != nullptr) ++stats_->corrupt_replies;
       FailSlot(round, slot, now, "bad-reply");
       return false;
     }
+    slot->synced_boundary = round.round;
     if (stats_ != nullptr) {
+      stats_->max_fragment_facts =
+          std::max(stats_->max_fragment_facts,
+                   static_cast<size_t>(reply.fragment_count));
       for (const StorageReplyGroup& group : reply.groups) {
         stats_->exchanged_candidates += group.side_indexes.size();
       }
@@ -915,7 +864,7 @@ class StorageCoordinator : public ChaseDiscoveryHook {
   uint32_t layout_ = 0;
   std::vector<Slot> slots_;
   uint64_t next_sequence_ = 1;
-  /// Acknowledged-ownership manifests: expected owned-fact count and
+  /// Ownership manifests: expected owned-fact count and
   /// rolling content hash per shard, folded incrementally over the
   /// committed instance prefix [0, covered_).
   std::vector<uint64_t> expected_hash_;
@@ -1031,26 +980,19 @@ bool StorageCoordinator::DiscoverRound(
         progressed = true;
         continue;
       }
-      if (slot.phase == Phase::kNeedLoad || slot.phase == Phase::kNeedDiscover) {
-        StorageCommand command;
-        if (slot.phase == Phase::kNeedLoad) {
-          command = BuildLoadCommand(round, &slot);
-        } else {
-          command.type = StorageCommand::Type::kDiscover;
-          command.units = *round.units;
-        }
+      if (slot.phase == Phase::kNeedLoad) {
+        StorageCommand command = BuildLoadCommand(round, &slot);
         SendCommand(round, &slot, &command, now);
         progressed = true;
         continue;
       }
-      // Wait phases: pump replies, then liveness.
+      // Awaiting the reply: pump it, then liveness.
       slot.worker.DrainResult();
       slot.decoder.Feed(slot.worker.TakeResult());
       if (slot.worker.DrainHeartbeats() > 0) slot.last_beat = now;
       bool failed = false;
       Frame frame;
-      while (slot.phase == Phase::kLoadWait ||
-             slot.phase == Phase::kDiscoverWait) {
+      while (slot.phase == Phase::kAwaitReply) {
         const FrameDecoder::Result next = slot.decoder.Next(&frame, nullptr);
         if (next == FrameDecoder::Result::kNeedMore) break;
         progressed = true;
@@ -1070,9 +1012,6 @@ bool StorageCoordinator::DiscoverRound(
         }
       }
       if (failed || slot.phase == Phase::kDone || !slot.running) continue;
-      if (slot.phase == Phase::kNeedLoad || slot.phase == Phase::kNeedDiscover) {
-        continue;  // next command goes out on the next sweep
-      }
       if (slot.worker.Poll()) {
         // Died mid-request with no (valid) reply: classify and retry.
         slot.running = false;
@@ -1127,16 +1066,6 @@ const char* StorageFaultKindName(StorageFault::Kind kind) {
       return "stall";
     case StorageFault::Kind::kCorrupt:
       return "corrupt";
-  }
-  return "unknown";
-}
-
-const char* StorageFaultPhaseName(StorageFault::Phase phase) {
-  switch (phase) {
-    case StorageFault::Phase::kLoad:
-      return "load";
-    case StorageFault::Phase::kDiscover:
-      return "discover";
   }
   return "unknown";
 }

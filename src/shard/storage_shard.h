@@ -12,13 +12,13 @@
 namespace gqe {
 
 /// Deterministic storage-shard fault injection. A storage worker is
-/// long-lived and serves two kinds of command per round boundary — a
-/// state load (seed / delta) and a discovery request — so a
-/// fault is pinned to the phase it hits as well as to its (boundary,
-/// shard, attempt). Kill/OOM/stall ride down to the worker inside the
-/// matched command frame (child-side delivery keeps them deterministic);
-/// so does corrupt, on which the worker flips one payload bit of its
-/// encoded reply frame, exercising the coordinator's frame CRC.
+/// long-lived and serves one command per round boundary (a state load,
+/// seed or delta, that carries the round's discovery units), so a fault
+/// is pinned to (boundary, shard, attempt). Kill/OOM/stall ride down to
+/// the worker inside the matched command frame (child-side delivery
+/// keeps them deterministic); so does corrupt, on which the worker flips
+/// one payload bit of its encoded reply frame, exercising the
+/// coordinator's frame CRC.
 struct StorageFault {
   enum class Kind : int {
     kKill = 0,
@@ -26,24 +26,15 @@ struct StorageFault {
     kStall = 2,
     kCorrupt = 3,
   };
-  enum class Phase : int {
-    /// The seed / delta command that brings the fragment to the round
-    /// boundary.
-    kLoad = 0,
-    /// The per-round trigger-discovery command.
-    kDiscover = 1,
-  };
 
   /// The chase round boundary (== rounds committed before it).
   uint64_t boundary = 0;
   uint32_t shard = 0;
   int attempt = 1;
   Kind kind = Kind::kKill;
-  Phase phase = Phase::kDiscover;
 };
 
 const char* StorageFaultKindName(StorageFault::Kind kind);
-const char* StorageFaultPhaseName(StorageFault::Phase phase);
 
 /// Configuration of the storage-partitioned saturation run.
 struct StorageShardOptions {
@@ -88,8 +79,8 @@ struct StorageShardOptions {
   /// the last committed round boundary.
   bool inline_fallback = true;
 
-  /// Injected faults, matched by (boundary, shard, attempt, phase); each
-  /// fires at most once.
+  /// Injected faults, matched by (boundary, shard, attempt); each fires
+  /// at most once.
   std::vector<StorageFault> faults;
 };
 
@@ -98,10 +89,12 @@ struct StorageShardEvent {
   uint64_t boundary = 0;
   uint32_t shard = 0;
   int attempt = 0;
-  /// "sigkill", "oom", "heartbeat-timeout", "corrupt-reply", "bad-reply",
-  /// "bad-ack", "load-failed", "spawn-failed", "write-failed",
-  /// "command-timeout", "inline-fallback", "shard-lost", "reseed",
-  /// "reshard".
+  /// A worker death (base/subprocess.h SignalCauseName for a signal:
+  /// "sigkill", "sigsegv", "cpu-limit", ..., "signal:N"; or "oom",
+  /// "write-failed", "coordinator-gone", "protocol-error", "exit:N"), or
+  /// "heartbeat-timeout", "corrupt-reply", "bad-reply", "bad-ack",
+  /// "load-failed", "spawn-failed", "command-timeout", "inline-fallback",
+  /// "shard-lost", "reseed", "reshard".
   std::string cause;
 };
 
@@ -113,6 +106,7 @@ struct StorageShardStats {
   size_t worker_deaths = 0;
   size_t heartbeat_timeouts = 0;
   size_t corrupt_replies = 0;
+  /// Replies whose ownership manifest disagreed (cause "bad-ack").
   size_t bad_acks = 0;
   /// Seeds sent to workers respawned after a fault.
   size_t reseeds = 0;
@@ -148,13 +142,14 @@ uint32_t ShardOfFact(const Instance& instance, size_t fact_index,
 
 /// Runs the chase with the fact store hash-partitioned across long-lived
 /// storage-shard workers. Each worker owns a fragment of the instance
-/// (its facts by content-hash ownership), receives each round's delta
-/// once (owned facts appended to the fragment, the whole delta replicated
-/// as the discovery frontier), and answers per-round discovery commands
-/// with CRC-checked candidate frames (net/frame.h) carrying per-command
-/// sequence numbers. The coordinator keeps the whole instance, validates
-/// every ack against its ownership manifest (expected fragment count +
-/// rolling content hash) and re-binds every candidate against its own
+/// (its facts by content-hash ownership) and gets one command per round:
+/// the round's delta (owned facts appended to the fragment, the whole
+/// delta replicated as the discovery frontier) with the round's units.
+/// It answers with one CRC-checked reply frame (net/frame.h) that echoes
+/// the command's sequence number and carries its ownership manifest
+/// (fragment count + rolling content hash) and its candidates. The
+/// coordinator keeps the whole instance, checks every manifest against
+/// its own, validates the candidates and re-binds each against its own
 /// instance, so a fragment is derived state: a worker lost to kill -9 /
 /// OOM / stall / corrupt is respawned and reseeded from the coordinator's
 /// instance, and no shard state is written to disk. Results are

@@ -93,8 +93,7 @@ SnapshotStatus DecodeStorageCommand(std::string_view payload,
                                 "storage command: truncated header");
   }
   if (type != static_cast<uint32_t>(StorageCommand::Type::kSeed) &&
-      type != static_cast<uint32_t>(StorageCommand::Type::kDelta) &&
-      type != static_cast<uint32_t>(StorageCommand::Type::kDiscover)) {
+      type != static_cast<uint32_t>(StorageCommand::Type::kDelta)) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,
                                 "storage command: unknown type");
   }
@@ -175,7 +174,7 @@ SnapshotStatus DecodeStorageReply(std::string_view payload,
     return SnapshotStatus::Fail(SnapshotError::kTruncated,
                                 "storage reply: truncated counters");
   }
-  if (type < 1 || type > 2) {
+  if (type != static_cast<uint32_t>(StorageReply::Type::kCandidates)) {
     return SnapshotStatus::Fail(SnapshotError::kFormatError,
                                 "storage reply: unknown type");
   }

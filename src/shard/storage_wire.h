@@ -11,14 +11,14 @@
 
 namespace gqe {
 
-/// The storage-shard pipe messages (shard/storage_shard.h): coordinator
-/// commands and worker replies. Each travels as the bare payload of one
-/// net/frame.h frame (kStorageCommand / kStorageReply), whose header
-/// carries its type, length cap and CRC-32. They are same-process-image
-/// formats, so atoms are encoded without an interner section
-/// (DecodeAtomVector still validates predicates/constants against the
-/// forked interner, and accepts the labelled nulls the chase mints after
-/// fork).
+/// The storage-shard pipe messages (shard/storage_shard.h): one
+/// coordinator command and one worker reply per shard per round. Each
+/// travels as the bare payload of one net/frame.h frame (kStorageCommand
+/// / kStorageReply), whose header carries its type, length cap and
+/// CRC-32. They are same-process-image formats, so atoms are encoded
+/// without an interner section (DecodeAtomVector still validates
+/// predicates/constants against the forked interner, and accepts the
+/// labelled nulls the chase mints after fork).
 
 /// Minimum encoded bytes of one u64 index: a claimed index count the
 /// remaining payload cannot hold is rejected before anything is
@@ -31,17 +31,13 @@ struct StorageCommand {
     /// round frontier, read from the coordinator's instance. Sent to any
     /// worker that is not exactly one boundary behind: a fresh fleet, a
     /// worker respawned after a fault, a restarted coordinator's fleet.
-    /// The ack's ownership manifest still has to match before the
-    /// fragment serves discovery.
     kSeed = 1,
     /// One round's delta: the worker appends its owned facts at their
     /// global indexes and replaces the replicated frontier.
     kDelta = 2,
-    // Type 3 is retired (it once asked a worker to rebuild from on-disk
-    // fragment checkpoints and exchange logs) and is never reused.
-
-    /// Run this round's trigger discovery against fragment + frontier.
-    kDiscover = 4,
+    // Types 3 and 4 are retired (a rebuild from disk, and discovery as a
+    // second exchange per round) and never reused, so a frame from a peer
+    // that still speaks them is a format error.
   };
 
   Type type = Type::kSeed;
@@ -61,9 +57,10 @@ struct StorageCommand {
   /// kSeed: owned facts (parallel vectors, ascending global index).
   std::vector<uint64_t> seed_indexes;
   std::vector<Atom> seed_atoms;
-  /// kSeed/kDelta: the round frontier (== the delta, replicated).
+  /// The round frontier (== the delta, replicated).
   std::vector<Atom> frontier;
-  /// kDiscover: the round's units in canonical order.
+  /// The round's units in canonical order, discovered against fragment +
+  /// frontier once the load is applied.
   std::vector<ChaseDiscoveryUnit> units;
 };
 
@@ -78,24 +75,29 @@ struct StorageReplyGroup {
   std::vector<uint64_t> side_indexes;
 };
 
+/// A worker's one answer to a command: the load's outcome, the
+/// fragment's ownership manifest after it, and the round's candidates.
 struct StorageReply {
-  enum class Type : uint32_t { kAck = 1, kCandidates = 2 };
+  enum class Type : uint32_t {
+    // Type 1 (a load ack without candidates) is retired and never reused.
+    kCandidates = 2,
+  };
 
-  Type type = Type::kAck;
+  Type type = Type::kCandidates;
   uint64_t sequence = 0;
   uint64_t boundary = 0;
   uint32_t shard = 0;
   uint32_t num_shards = 1;
-  /// kAck: load outcome. ok=false with an intact envelope means the
-  /// worker itself judged its state unusable (a delta that does not
-  /// continue its fragment).
+  /// Load outcome. ok=false with an intact envelope means the worker
+  /// itself judged its state unusable (a delta that does not continue
+  /// its fragment); such a reply carries no manifest and no groups.
   bool ok = true;
   std::string error;
-  /// kAck: the fragment's ownership manifest (owned-fact count and
-  /// rolling content hash) after the load.
+  /// The fragment's ownership manifest (owned-fact count and rolling
+  /// content hash) after the load.
   uint64_t fragment_count = 0;
   uint64_t fragment_hash = 0;
-  /// kCandidates: groups in strictly increasing (unit, fact) order.
+  /// Candidate groups in strictly increasing (unit, fact) order.
   std::vector<StorageReplyGroup> groups;
 };
 

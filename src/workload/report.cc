@@ -5,6 +5,7 @@
 #include <sys/resource.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +13,11 @@
 #include <cstring>
 
 namespace gqe {
+
+double MedianMs(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
 
 ReportTable::ReportTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}

@@ -164,6 +164,10 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The median of a bench's repeated timings (the upper middle sample
+/// for an even count). `samples` must not be empty.
+double MedianMs(std::vector<double> samples);
+
 }  // namespace gqe
 
 #endif  // GQE_WORKLOAD_REPORT_H_

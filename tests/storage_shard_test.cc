@@ -162,21 +162,29 @@ TEST(StorageShardTest, FaultNamesAreStable) {
   EXPECT_STREQ(StorageFaultKindName(StorageFault::Kind::kOom), "oom");
   EXPECT_STREQ(StorageFaultKindName(StorageFault::Kind::kStall), "stall");
   EXPECT_STREQ(StorageFaultKindName(StorageFault::Kind::kCorrupt), "corrupt");
-  EXPECT_STREQ(StorageFaultPhaseName(StorageFault::Phase::kLoad), "load");
-  EXPECT_STREQ(StorageFaultPhaseName(StorageFault::Phase::kDiscover),
-               "discover");
 }
 
-/// Command type 3 once asked a worker to rebuild from disk; it is
-/// retired, so a frame carrying it is a format error, never a command.
+/// Retired message types (commands 3 and 4, reply 1) are format errors,
+/// never messages.
 TEST(StorageShardTest, RetiredCommandTypeIsRejected) {
   StorageCommand command;
   command.type = StorageCommand::Type::kDelta;
   std::string payload = EncodeStorageCommand(command);
   StorageCommand decoded;
   ASSERT_TRUE(DecodeStorageCommand(payload, &decoded).ok());
-  payload[0] = 3;  // the little-endian u32 type field leads the payload
-  EXPECT_EQ(DecodeStorageCommand(payload, &decoded).error,
+  for (char retired : {3, 4}) {
+    payload[0] = retired;  // the little-endian u32 type field leads
+    EXPECT_EQ(DecodeStorageCommand(payload, &decoded).error,
+              SnapshotError::kFormatError)
+        << "command type " << static_cast<int>(retired);
+  }
+
+  StorageReply reply;
+  std::string reply_payload = EncodeStorageReply(reply);
+  StorageReply decoded_reply;
+  ASSERT_TRUE(DecodeStorageReply(reply_payload, &decoded_reply).ok());
+  reply_payload[0] = 1;
+  EXPECT_EQ(DecodeStorageReply(reply_payload, &decoded_reply).error,
             SnapshotError::kFormatError);
 }
 
@@ -255,7 +263,7 @@ TEST(StorageShardTest, RunWritesNoShardStateToDisk) {
     if (run.with_state_dir) options.state_dir = state_dir;
     if (faulted) {
       options.faults.push_back(
-          {2, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
+          {2, 1, 1, StorageFault::Kind::kKill});
     }
     DiskStateProbe probe(state_dir);
     ChaseOptions chase_options = WitnessChaseOptions();
@@ -318,11 +326,11 @@ TEST(StorageShardTest, MidRunReshardIsBitIdentical) {
   Term::SetNextNullId(null_base);
 }
 
-/// The acceptance-criteria chaos matrix: every fault kind, in both the
-/// load and the discover phase, at every round boundary — each run
-/// diffed against the fault-free single-process reference, including the
-/// durable engine-checkpoint bytes.
-TEST(StorageShardTest, ChaosMatrixEveryBoundaryBothPhasesIsBitIdentical) {
+/// The acceptance-criteria chaos matrix: every fault kind on the round's
+/// one command, at every round boundary — each run diffed against the
+/// fault-free single-process reference, including the durable
+/// engine-checkpoint bytes.
+TEST(StorageShardTest, ChaosMatrixEveryBoundaryIsBitIdentical) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
   const uint32_t null_base = Term::NextNullId();
@@ -345,14 +353,10 @@ TEST(StorageShardTest, ChaosMatrixEveryBoundaryBothPhasesIsBitIdentical) {
   const StorageFault::Kind kinds[] = {
       StorageFault::Kind::kKill, StorageFault::Kind::kOom,
       StorageFault::Kind::kStall, StorageFault::Kind::kCorrupt};
-  const StorageFault::Phase phases[] = {StorageFault::Phase::kLoad,
-                                        StorageFault::Phase::kDiscover};
   size_t runs = 0;
-  auto run_case = [&](int shards, StorageFault::Kind kind,
-                      StorageFault::Phase phase, uint64_t boundary) {
+  auto run_case = [&](int shards, StorageFault::Kind kind, uint64_t boundary) {
     const std::string label =
         std::string("kind=") + StorageFaultKindName(kind) +
-        " phase=" + StorageFaultPhaseName(phase) +
         " shards=" + std::to_string(shards) +
         " boundary=" + std::to_string(boundary);
     const std::string dir = FreshDir("chaos_run");
@@ -362,7 +366,6 @@ TEST(StorageShardTest, ChaosMatrixEveryBoundaryBothPhasesIsBitIdentical) {
     fault.shard = static_cast<uint32_t>(boundary % shards);
     fault.attempt = 1;
     fault.kind = kind;
-    fault.phase = phase;
     options.faults.push_back(fault);
 
     Term::SetNextNullId(null_base);
@@ -397,30 +400,29 @@ TEST(StorageShardTest, ChaosMatrixEveryBoundaryBothPhasesIsBitIdentical) {
   };
 
   for (StorageFault::Kind kind : kinds) {
-    for (StorageFault::Phase phase : phases) {
-      for (uint64_t boundary = 0; boundary <= rounds; ++boundary) {
-        run_case(2, kind, phase, boundary);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+    for (uint64_t boundary = 0; boundary <= rounds; ++boundary) {
+      run_case(2, kind, boundary);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
   // A wider fleet: the cheap fault kinds across every boundary.
   for (StorageFault::Kind kind :
        {StorageFault::Kind::kKill, StorageFault::Kind::kCorrupt}) {
     for (uint64_t boundary = 0; boundary <= rounds; ++boundary) {
-      run_case(8, kind, StorageFault::Phase::kDiscover, boundary);
+      run_case(8, kind, boundary);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  EXPECT_GE(runs, 8 * (rounds + 1));
+  EXPECT_GE(runs, 6 * (rounds + 1));
   ExpectNoZombies("storage chaos matrix");
   std::filesystem::remove_all(ref_dir);
   Term::SetNextNullId(null_base);
 }
 
-/// A shard killed BETWEEN its round ack and the round commit: its
-/// fragment had been acked for the boundary, and the respawned worker is
-/// reseeded from the coordinator's instance at that same boundary.
+/// A shard killed BETWEEN its last manifest check and the round commit:
+/// its fragment was checked at boundary 1, the worker dies on receipt of
+/// boundary 2's command (the round has not committed), and the respawned
+/// worker is reseeded from the coordinator's instance at boundary 2.
 TEST(StorageShardTest, KillBetweenAckAndCommitReseeds) {
   Instance db = StDb();
   TgdSet sigma = StSigma();
@@ -430,11 +432,9 @@ TEST(StorageShardTest, KillBetweenAckAndCommitReseeds) {
   ChaseResult reference = Chase(db, sigma, WitnessChaseOptions());
   ASSERT_TRUE(reference.complete);
 
-  // Discover-phase kill: the load for boundary 2 has been acked when the
-  // worker is killed; the boundary itself has not committed.
   StorageShardOptions options = FastStorageOptions(2);
   options.faults.push_back(
-      {2, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kDiscover});
+      {2, 1, 1, StorageFault::Kind::kKill});
   Term::SetNextNullId(null_base);
   StorageShardStats stats;
   ChaseResult sharded =
@@ -463,15 +463,15 @@ TEST(StorageShardTest, ShardLostRunResumesUnderDifferentShardCount) {
   ASSERT_TRUE(reference.complete);
   ASSERT_GE(reference.rounds_completed, 4u);
 
-  // Shard 1 dies on both attempts of its boundary-2 discovery.
+  // Shard 1 dies on both attempts of its boundary-2 command.
   const std::string dir = FreshDir("lost_ckpt");
   StorageShardOptions doomed = FastStorageOptions(4);
   doomed.inline_fallback = false;
   doomed.max_attempts = 2;
   doomed.faults.push_back(
-      {2, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kDiscover});
+      {2, 1, 1, StorageFault::Kind::kKill});
   doomed.faults.push_back(
-      {2, 1, 2, StorageFault::Kind::kOom, StorageFault::Phase::kDiscover});
+      {2, 1, 2, StorageFault::Kind::kOom});
   Term::SetNextNullId(null_base);
   StorageShardStats stats;
   ChaseResult lost = ResumeStorageShardChase(
@@ -648,9 +648,9 @@ TEST(StorageShardTest, RetryStormOnOneShardStillConverges) {
 
   StorageShardOptions options = FastStorageOptions(2);
   options.faults.push_back(
-      {1, 1, 1, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
+      {1, 1, 1, StorageFault::Kind::kKill});
   options.faults.push_back(
-      {1, 1, 2, StorageFault::Kind::kCorrupt, StorageFault::Phase::kDiscover});
+      {1, 1, 2, StorageFault::Kind::kCorrupt});
   Term::SetNextNullId(null_base);
   StorageShardStats stats;
   ChaseResult sharded =
@@ -673,9 +673,9 @@ TEST(StorageShardTest, ExhaustedRetriesDegradeToInlineFallback) {
   StorageShardOptions options = FastStorageOptions(2);
   options.max_attempts = 2;
   options.faults.push_back(
-      {1, 0, 1, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
+      {1, 0, 1, StorageFault::Kind::kKill});
   options.faults.push_back(
-      {1, 0, 2, StorageFault::Kind::kKill, StorageFault::Phase::kLoad});
+      {1, 0, 2, StorageFault::Kind::kKill});
   Term::SetNextNullId(null_base);
   StorageShardStats stats;
   ChaseResult sharded =
@@ -720,7 +720,7 @@ TEST(StorageShardTest, DeadlineHoldsWhileAWorkerIsStalled) {
   }
   StorageShardOptions storage = FastStorageOptions(4);
   storage.faults.push_back(
-      {1, 0, 1, StorageFault::Kind::kStall, StorageFault::Phase::kDiscover});
+      {1, 0, 1, StorageFault::Kind::kStall});
   ChaseOptions options;
   options.budget.deadline_ms = 50.0;
   const auto start = std::chrono::steady_clock::now();

@@ -89,6 +89,19 @@ TEST(SubprocessTest, SignalDeathIsClassified) {
   EXPECT_FALSE(worker.exit_status().exited);
   EXPECT_TRUE(worker.exit_status().signaled);
   EXPECT_EQ(worker.exit_status().term_signal, SIGKILL);
+  EXPECT_EQ(SignalCauseName(worker.exit_status().term_signal), "sigkill");
+}
+
+/// The death vocabulary both supervisors (serve and the shard
+/// coordinator) report: named signals, and "signal:<n>" for the rest.
+TEST(SubprocessTest, SignalCauseNamesAreStable) {
+  EXPECT_EQ(SignalCauseName(SIGSEGV), "sigsegv");
+  EXPECT_EQ(SignalCauseName(SIGBUS), "sigbus");
+  EXPECT_EQ(SignalCauseName(SIGABRT), "sigabrt");
+  EXPECT_EQ(SignalCauseName(SIGTERM), "sigterm");
+  EXPECT_EQ(SignalCauseName(SIGXCPU), "cpu-limit");
+  EXPECT_EQ(SignalCauseName(SIGUSR1),
+            "signal:" + std::to_string(SIGUSR1));
 }
 
 TEST(SubprocessTest, AddressSpaceLimitMakesAllocationFail) {
